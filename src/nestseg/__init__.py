@@ -10,11 +10,6 @@ from .graph_core import (
     Graph,
     GraphFormatError,
     VertexSet,
-    avg_degree_density,
-    cross_density,
-    cross_pair_count,
-    cross_weight,
-    induced_density,
     load_edge_list,
     load_edge_list_path,
 )
@@ -44,19 +39,9 @@ from .segmentation import (
     score_sequence,
     segment_dp,
 )
-from .cli import (
-    ComparisonReport,
-    RunConfig,
-    compare_baselines,
-    export_dot,
-    export_tsv,
-    run_pipeline,
-)
 
 __all__ = [
-    "Graph", "GraphFormatError", "VertexSet",
-    "avg_degree_density", "cross_density", "cross_pair_count",
-    "cross_weight", "induced_density", "load_edge_list",
+    "Graph", "GraphFormatError", "VertexSet", "load_edge_list",
     "load_edge_list_path",
     "PageRankVector", "WeightingScheme", "apply_weighting",
     "personalized_pagerank",
@@ -65,8 +50,6 @@ __all__ = [
     "Block", "CommunitySequence", "DensityMonotonicityError",
     "GroupPoint", "InfeasibleKError", "build_group_sequence", "discover",
     "pav_pool", "score_sequence", "segment_dp",
-    "ComparisonReport", "RunConfig", "compare_baselines", "export_dot",
-    "export_tsv", "run_pipeline",
 ]
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ infeasible (more segments than strictly decreasing blocks exist).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -106,12 +107,16 @@ def _build_order(kind: str, wg: Graph, S: set[int],
         assert pr is not None
         return pagerank_order(wg, S, pr)
     if kind == "hops":
-        levels = hops_levels(wg, S)
-        seq: list[int] = []
-        for level in levels:
-            seq.extend(sorted(level if not seq else level - set(seq)))
-        return VertexOrder(sequence=seq, source_size=len(S))
+        return _hops_order(wg, S)[0]
     raise ValueError(f"unknown order kind {kind!r}")
+
+
+def _hops_order(wg: Graph, S: set[int]) -> tuple[VertexOrder, list[int]]:
+    """Breadth-first levels from S, each in ascending id, and the level ends."""
+    levels = hops_levels(wg, S)
+    seq = [v for level in levels for v in sorted(level)]
+    ends = list(itertools.accumulate(len(level) for level in levels))
+    return VertexOrder(sequence=seq, source_size=len(S)), ends
 
 
 def _weighted_graph(g: Graph, S: set[int], cfg: RunConfig
@@ -199,8 +204,9 @@ def export_dot(g: Graph, seq: CommunitySequence) -> str:
         extra = ", peripheries=2" if pos < s else ""
         lines.append(f'  "{g.labels[v]}" [fillcolor="{color}"{extra}];')
     pos_of = order.positions()
+    us, vs, _ = g.edge_arrays()
     edges = sorted(((min(pos_of[u], pos_of[v]), max(pos_of[u], pos_of[v]))
-                    for u, v, _ in g.edges()))
+                    for u, v in zip(us.tolist(), vs.tolist())))
     for pu, pv in edges:
         a = g.labels[order.sequence[pu]]
         b = g.labels[order.sequence[pv]]
@@ -271,18 +277,10 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> ComparisonReport:
         report.ratios[scheme.value] = ratios
         report.wins[scheme.value] = wins
 
-        levels = hops_levels(wg, S)
-        if len(levels) > 1:
-            seq: list[int] = []
-            bps = [len(S)]
-            for level in levels:
-                fresh = sorted(level - set(seq))
-                seq.extend(fresh)
-            for level in levels[1:]:
-                bps.append(bps[-1] + len(level))
-            hops_order = VertexOrder(sequence=seq, source_size=len(S))
+        hops_order, bps = _hops_order(wg, S)
+        if len(bps) > 1:
             hops_score, _, _ = score_sequence(wg, hops_order, bps)
-            k_hops = len(levels) - 1
+            k_hops = len(bps) - 1
             try:
                 peel_at = discover(wg, orders["peel"], k_hops).total_score
             except InfeasibleKError:

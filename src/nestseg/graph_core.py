@@ -1,15 +1,10 @@
-"""Weighted undirected graph with pair-slot density algebra.
-
-Densities here average over *all* vertex pairs of the relevant slot set,
-not just the pairs that carry an actual edge: a missing edge counts as a
-slot of weight zero.  Actual edges are the only thing stored; zero slots
-are accounted for arithmetically.
-"""
+"""Weighted undirected graph in compressed sparse row (CSR) form, and
+edge-list parsing."""
 
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterable
 
 import numpy as np
 
@@ -18,96 +13,118 @@ VertexSet = AbstractSet[int]
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed edge-list input; message names the line."""
+    """Malformed graph input; the message names the line, or the ``edge``
+    index when the graph constructor rejected an edge."""
+
+    def __init__(self, reason: str, edge: int | None = None):
+        super().__init__(reason if edge is None else f"edge {edge}: {reason}")
+        self.reason = reason
+        self.edge = edge
 
 
 class Graph:
     """Immutable weighted undirected simple graph.
 
     Vertices are dense ids 0..n-1; ``labels[i]`` is the original string
-    label of vertex i, in first-appearance order.  ``adjacency[v]`` is a
-    dict mapping each neighbor to the edge weight, symmetric by
-    construction.
-    Weights are finite and nonnegative; self-loops and duplicate edges
-    are rejected at construction time.
+    label of vertex i.  Row v of the CSR arrays lists v's neighbors
+    ``indices[indptr[v]:indptr[v+1]]`` with the matching ``weights``.
+    ``us``, ``vs``, ``ws`` list each edge once with u < v, in row order.
+
+    Neighbor order is fixed by the construction rule: edge i adds
+    a_i -> b_i and then b_i -> a_i, and a stable sort by row keeps that
+    order within each row.  The peel, the densest prefix and the DOT
+    edge list read rows in this order, so it pins their float sums and
+    tie-breaks, hence the reports.
+
+    Weights are finite and nonnegative; self-loops, unknown ids and
+    duplicate edges (either orientation) are rejected at construction.
     """
 
-    __slots__ = ("labels", "label_index", "adjacency", "total_edge_count",
-                 "_edge_arrays")
+    __slots__ = ("labels", "label_index", "indptr", "indices", "weights",
+                 "us", "vs", "ws")
 
-    def __init__(self, labels: list[str],
-                 adjacency: list[dict[int, float]],
-                 total_edge_count: int):
-        self.labels = labels
-        self.label_index = {lab: i for i, lab in enumerate(labels)}
-        self.adjacency = adjacency
-        self.total_edge_count = total_edge_count
-        self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    def __init__(self, labels: list[str], heads, tails, weights):
+        """Edge i joins ids heads[i] and tails[i] with weight weights[i]."""
+        self.labels = list(labels)
+        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
+        n = len(self.labels)
+        if len(self.label_index) != n:
+            raise ValueError("vertex labels must be unique")
+        a = np.asarray(heads, dtype=np.int64)
+        b = np.asarray(tails, dtype=np.int64)
+        w = np.asarray(weights, dtype=np.float64)
+        _check_edges(self.labels, a, b, w)
+
+        src = np.column_stack((a, b)).reshape(-1)
+        rows = np.argsort(src, kind="stable")
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        self.indices = np.column_stack((b, a)).reshape(-1)[rows]
+        self.weights = np.repeat(w, 2)[rows]
+        src = src[rows]
+        upper = src < self.indices
+        self.us, self.vs, self.ws = src[upper], self.indices[upper], self.weights[upper]
+        for arr in (self.indptr, self.indices, self.weights, self.us, self.vs, self.ws):
+            arr.flags.writeable = False
+
+    @classmethod
+    def from_edges(cls, labels: list[str],
+                   edges: Iterable[tuple[int, int, float]]) -> "Graph":
+        """Build a graph from (u, v, weight) triples, either orientation."""
+        heads, tails, weights = tuple(zip(*edges)) or ((), (), ())
+        return cls(labels, heads, tails, weights)
 
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
 
+    @property
+    def total_edge_count(self) -> int:
+        return len(self.us)
+
     def degree(self, v: int) -> int:
         """Number of actual incident edges (unweighted)."""
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def weighted_degree(self, v: int) -> float:
-        return math.fsum(self.adjacency[v].values())
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield each actual edge once as (u, v, w) with u < v."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v, w in nbrs.items():
-                if u < v:
-                    yield u, v, w
+        return math.fsum(self.weights[self.indptr[v]:self.indptr[v + 1]].tolist())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (u, v, w) numpy views of the edge list, u < v, memoized."""
-        if self._edge_arrays is None:
-            m = self.total_edge_count
-            us = np.empty(m, dtype=np.int64)
-            vs = np.empty(m, dtype=np.int64)
-            ws = np.empty(m, dtype=np.float64)
-            i = 0
-            for u, v, w in self.edges():
-                us[i] = u
-                vs[i] = v
-                ws[i] = w
-                i += 1
-            self._edge_arrays = (us, vs, ws)
-        return self._edge_arrays
+        """Return the (u, v, w) edge arrays, u < v, in row order."""
+        return self.us, self.vs, self.ws
 
-    @classmethod
-    def from_edges(cls, labels: list[str],
-                   edges: Iterable[tuple[int, int, float]],
-                   _validated: bool = False) -> "Graph":
-        """Build a graph from (u, v, weight) triples over existing ids.
 
-        Triples may list each edge once in either orientation.  The same
-        simplicity checks as the text loader apply unless ``_validated``
-        is set by an internal caller that already guarantees them.
-        """
-        n = len(labels)
-        if not _validated and len(set(labels)) != n:
-            raise ValueError("vertex labels must be unique")
-        adjacency: list[dict[int, float]] = [{} for _ in range(n)]
-        count = 0
-        for u, v, w in edges:
-            if not _validated:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"edge ({u},{v}) references unknown vertex")
-                if u == v:
-                    raise ValueError(f"self-loop on vertex {labels[u]!r}")
-                if w < 0 or not math.isfinite(w):
-                    raise ValueError(f"bad weight {w!r} on edge ({labels[u]!r},{labels[v]!r})")
-                if v in adjacency[u]:
-                    raise ValueError(f"duplicate edge ({labels[u]!r},{labels[v]!r})")
-            w = float(w)
-            adjacency[u][v] = w
-            adjacency[v][u] = w
-            count += 1
-        return cls(labels, adjacency, count)
+def _check_edges(labels: list[str], a: np.ndarray, b: np.ndarray,
+                 w: np.ndarray) -> None:
+    """Raise GraphFormatError naming the first invalid edge, if any.
+
+    Per edge, the first failing check in this order is reported: id
+    range, self-loop, finite weight, nonnegative weight, and repeating
+    an earlier edge in either orientation.
+    """
+    n = len(labels)
+    if not len(a) == len(b) == len(w):
+        raise ValueError("edge id and weight arrays differ in length")
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    codes = lo * n + hi
+    repeat = np.zeros(len(a), dtype=bool)
+    sorted_codes = np.sort(codes)
+    if (sorted_codes[1:] == sorted_codes[:-1]).any():
+        # a stable sort puts each repeat after the edge it repeats
+        by_code = np.argsort(codes, kind="stable")
+        repeat[by_code[1:][codes[by_code[1:]] == codes[by_code[:-1]]]] = True
+    checks = [
+        ((lo < 0) | (hi >= n), lambda i: f"unknown vertex id in ({a[i]},{b[i]})"),
+        (a == b, lambda i: f"self-loop on {labels[a[i]]!r}"),
+        (~np.isfinite(w), lambda i: f"non-finite weight {float(w[i])!r}"),
+        (w < 0, lambda i: f"negative weight {float(w[i])!r}"),
+        (repeat, lambda i: f"duplicate edge ({labels[a[i]]!r},{labels[b[i]]!r})"),
+    ]
+    found = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(checks)
+             if bad.any()]
+    if found:
+        i, rank = min(found)
+        raise GraphFormatError(checks[rank][1](i), edge=i)
 
 
 def load_edge_list(lines: Iterable[str]) -> Graph:
@@ -123,125 +140,59 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
 
     Returns
     -------
-    Graph with vertices numbered in first-appearance order.
+    Graph with vertices numbered in first-appearance order and edges in
+    file order.
 
     Raises
     ------
     GraphFormatError
         On a self-loop, a duplicate edge (either orientation), a
         negative or non-finite weight, or an unparsable line.  The
-        message names the offending 1-based line number.
+        message names the first offending 1-based line number.
     """
-    labels: list[str] = []
     index: dict[str, int] = {}
-    adjacency: list[dict[int, float]] = []
-    count = 0
-
-    def intern(label: str) -> int:
-        i = index.get(label)
-        if i is None:
-            i = len(labels)
-            index[label] = i
-            labels.append(label)
-            adjacency.append({})
-        return i
-
+    intern = index.setdefault
+    heads: list[int] = []
+    tails: list[int] = []
+    weights: list[float] = []
+    skipped: list[int] = []  # comment and blank line numbers
+    unparsable = None
     for line_num, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            skipped.append(line_num)
             continue
-        parts = line.split()
         if len(parts) == 2:
-            a, b = parts
             w = 1.0
         elif len(parts) == 3:
-            a, b = parts[0], parts[1]
             try:
                 w = float(parts[2])
             except ValueError:
-                raise GraphFormatError(
-                    f"line {line_num}: bad weight {parts[2]!r}") from None
+                unparsable = f"line {line_num}: bad weight {parts[2]!r}"
+                break
         else:
-            raise GraphFormatError(
-                f"line {line_num}: expected 'u v' or 'u v weight', got {line!r}")
-        if a == b:
-            raise GraphFormatError(f"line {line_num}: self-loop on {a!r}")
-        if not math.isfinite(w):
-            raise GraphFormatError(f"line {line_num}: non-finite weight {w!r}")
-        if w < 0:
-            raise GraphFormatError(f"line {line_num}: negative weight {w!r}")
-        u, v = intern(a), intern(b)
-        if v in adjacency[u]:
-            raise GraphFormatError(f"line {line_num}: duplicate edge ({a!r},{b!r})")
-        adjacency[u][v] = w
-        adjacency[v][u] = w
-        count += 1
+            unparsable = (f"line {line_num}: expected 'u v' or 'u v weight', "
+                          f"got {raw.strip()!r}")
+            break
+        heads.append(intern(parts[0], len(index)))
+        tails.append(intern(parts[1], len(index)))
+        weights.append(w)
 
-    return Graph(labels, adjacency, count)
+    try:
+        g = Graph(list(index), heads, tails, weights)
+    except GraphFormatError as exc:
+        # edge i sits on the (i+1)-th line that is not skipped
+        line = exc.edge + 1
+        for s in skipped:
+            if s > line:
+                break
+            line += 1
+        raise GraphFormatError(f"line {line}: {exc.reason}") from None
+    if unparsable:
+        raise GraphFormatError(unparsable)
+    return g
 
 
 def load_edge_list_path(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as f:
         return load_edge_list(f)
-
-
-def cross_pair_count(S: VertexSet, T: VertexSet) -> int:
-    """Number of unordered pairs {x, y}, x != y, crossing S and T.
-
-    Overlap is allowed: a pair with both endpoints in the intersection
-    is still a single pair.  Closed form |S||T| - c(c+1)/2 with
-    c = |S & T|.
-    """
-    c = len(S & T)
-    return len(S) * len(T) - c * (c + 1) // 2
-
-
-def cross_weight(g: Graph, S: VertexSet, T: VertexSet) -> float:
-    """Total weight of actual edges crossing S and T, each pair once."""
-    if len(T) < len(S):
-        S, T = T, S
-    total = 0.0
-    for v in S:
-        for u, w in g.adjacency[v].items():
-            if u not in T:
-                continue
-            if v in T and u in S:
-                # visible from both sides; count from the lower id only
-                if v < u:
-                    total += w
-            else:
-                total += w
-    return total
-
-
-def cross_density(g: Graph, S: VertexSet, T: VertexSet) -> float:
-    """Mean slot weight over all pairs crossing S and T (zero slots count)."""
-    pairs = cross_pair_count(S, T)
-    if pairs == 0:
-        raise ValueError("empty edge set has no density")
-    return cross_weight(g, S, T) / pairs
-
-
-def induced_weight(g: Graph, V: VertexSet) -> float:
-    """Total weight of edges with both endpoints in V."""
-    total = 0.0
-    for v in V:
-        for u, w in g.adjacency[v].items():
-            if v < u and u in V:
-                total += w
-    return total
-
-
-def induced_density(g: Graph, V: VertexSet) -> float:
-    """Mean weight over all C(|V|,2) pair slots inside V."""
-    n = len(V)
-    if n < 2:
-        raise ValueError("induced density needs at least 2 vertices")
-    return induced_weight(g, V) / (n * (n - 1) // 2)
-
-
-def avg_degree_density(g: Graph, V: VertexSet) -> float:
-    """Induced edge weight divided by |V| (average-degree objective)."""
-    if not V:
-        raise ValueError("average-degree density of an empty set")
-    return induced_weight(g, V) / len(V)

@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import (Graph, VertexSet, avg_degree_density, cross_density,
-                         cross_pair_count)
+from .graph_core import Graph, VertexSet
 from .ordering import VertexOrder
 
 
@@ -48,6 +47,60 @@ def random_graph(rng: random.Random, n: int, edge_prob: float,
                 edges[(u, v)] = w()
     labels = [str(i) for i in range(n)]
     return Graph.from_edges(labels, [(u, v, wt) for (u, v), wt in edges.items()])
+
+
+def _members(n: int, V: VertexSet) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[list(V)] = True
+    return mask
+
+
+def cross_pair_count(S: VertexSet, T: VertexSet) -> int:
+    """Number of unordered pairs {x, y}, x != y, crossing S and T.
+
+    Overlap is allowed: a pair with both endpoints in the intersection
+    is still a single pair.  Closed form |S||T| - c(c+1)/2 with
+    c = |S & T|.
+    """
+    c = len(S & T)
+    return len(S) * len(T) - c * (c + 1) // 2
+
+
+def cross_weight(g: Graph, S: VertexSet, T: VertexSet) -> float:
+    """Total weight of actual edges crossing S and T, each pair once."""
+    us, vs, ws = g.edge_arrays()
+    inS, inT = _members(g.num_vertices, S), _members(g.num_vertices, T)
+    return float(ws[(inS[us] & inT[vs]) | (inT[us] & inS[vs])].sum())
+
+
+def cross_density(g: Graph, S: VertexSet, T: VertexSet) -> float:
+    """Mean slot weight over all pairs crossing S and T (zero slots count)."""
+    pairs = cross_pair_count(S, T)
+    if pairs == 0:
+        raise ValueError("empty edge set has no density")
+    return cross_weight(g, S, T) / pairs
+
+
+def induced_weight(g: Graph, V: VertexSet) -> float:
+    """Total weight of edges with both endpoints in V."""
+    us, vs, ws = g.edge_arrays()
+    inV = _members(g.num_vertices, V)
+    return float(ws[inV[us] & inV[vs]].sum())
+
+
+def induced_density(g: Graph, V: VertexSet) -> float:
+    """Mean weight over all C(|V|,2) pair slots inside V."""
+    n = len(V)
+    if n < 2:
+        raise ValueError("induced density needs at least 2 vertices")
+    return induced_weight(g, V) / (n * (n - 1) // 2)
+
+
+def avg_degree_density(g: Graph, V: VertexSet) -> float:
+    """Induced edge weight divided by |V| (average-degree objective)."""
+    if not V:
+        raise ValueError("average-degree density of an empty set")
+    return induced_weight(g, V) / len(V)
 
 
 @dataclass(frozen=True)
@@ -144,7 +197,8 @@ def brute_force_antitonic_fit(points: Sequence[tuple[float, float]],
 
 
 def _pair_weights(g: Graph) -> dict[tuple[int, int], float]:
-    return {(u, v): w for u, v, w in g.edges()}
+    us, vs, ws = g.edge_arrays()
+    return dict(zip(zip(us.tolist(), vs.tolist()), ws.tolist()))
 
 
 def _chain_score(g: Graph, chain: Sequence[frozenset[int]]) -> float:
@@ -320,9 +374,10 @@ def brute_force_sparse_nbhd(g: Graph,
 
 def _weight_matrix(g: Graph) -> np.ndarray:
     n = g.num_vertices
+    us, vs, ws = g.edge_arrays()
     W = np.zeros((n, n))
-    for u, v, w in g.edges():
-        W[u, v] = W[v, u] = w
+    W[us, vs] = ws
+    W[vs, us] = ws
     return W
 
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph_core import Graph, VertexSet
 
@@ -51,15 +52,15 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     for v in src:
         in_source[v] = 1
 
+    ptr, nbrs, wts = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
     wdeg = [0.0] * n
     for v in range(n):
         if not in_source[v]:
-            wdeg[v] = sum(g.adjacency[v].values())
+            wdeg[v] = sum(wts[ptr[v]:ptr[v + 1]])
 
     heap = [(wdeg[v], v) for v in range(n) if not in_source[v]]
     heapq.heapify(heap)
     present = bytearray([1]) * n
-    adjacency = g.adjacency
     push = heapq.heappush
     pop = heapq.heappop
 
@@ -72,9 +73,10 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
         present[x] = 0
         removed.append(x)
         remaining -= 1
-        for y, w in adjacency[x].items():
+        for j in range(ptr[x], ptr[x + 1]):
+            y = nbrs[j]
             if present[y] and not in_source[y]:
-                wdeg[y] -= w
+                wdeg[y] -= wts[j]
                 push(heap, (wdeg[y], y))
 
     removed.reverse()
@@ -88,14 +90,15 @@ def densest_prefix(g: Graph, order: VertexOrder) -> tuple[frozenset[int], float]
     maximizing induced edge weight / vertex count, with that value.
     """
     pos = order.positions()
+    ptr, nbrs, wts = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
     cum_weight = 0.0
     best_i = 1
     best_density = 0.0
     first = True
     for i, v in enumerate(order.sequence):
-        for u, w in g.adjacency[v].items():
-            if pos[u] < i:
-                cum_weight += w
+        for j in range(ptr[v], ptr[v + 1]):
+            if pos[nbrs[j]] < i:
+                cum_weight += wts[j]
         density = cum_weight / (i + 1)
         if first or density > best_density:
             best_density = density
@@ -112,24 +115,22 @@ def hops_levels(g: Graph, S: VertexSet) -> list[set[int]]:
     """
     if not S:
         raise ValueError("source set must not be empty")
-    dist = {v: 0 for v in S}
-    frontier = deque(sorted(S))
+    seen = np.zeros(g.num_vertices, dtype=bool)
+    frontier = np.array(sorted(S), dtype=np.int64)
+    seen[frontier] = True
     levels: list[set[int]] = [set(S)]
-    while frontier:
-        next_frontier: deque[int] = deque()
-        current = set()
-        for v in frontier:
-            for u in g.adjacency[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    current.add(u)
-                    next_frontier.append(u)
-        if current:
-            levels.append(current)
-        frontier = next_frontier
-    unreachable = set(range(g.num_vertices)) - dist.keys()
-    if unreachable:
-        levels.append(unreachable)
+    while True:
+        # the frontier's CSR rows, concatenated
+        starts, ends = g.indptr[frontier], g.indptr[frontier + 1]
+        nbrs = g.indices[np.repeat(ends - np.cumsum(ends - starts), ends - starts)
+                         + np.arange(int((ends - starts).sum()))]
+        frontier = np.unique(nbrs[~seen[nbrs]])
+        if not len(frontier):
+            break
+        seen[frontier] = True
+        levels.append(set(frontier.tolist()))
+    if not seen.all():
+        levels.append(set(np.flatnonzero(~seen).tolist()))
     return levels
 
 

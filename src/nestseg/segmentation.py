@@ -33,11 +33,12 @@ class InfeasibleKError(ValueError):
 
 
 class DensityMonotonicityError(RuntimeError):
-    """Community densities failed to decrease strictly.
+    """Segment centroids or community densities failed to decrease strictly.
 
-    Cannot happen with a single-vertex source; with a larger source the
-    slots inside the source are excluded from the optimization and can
-    drag a community's density out of line.
+    With a larger source the slots inside the source are excluded from
+    the optimization and can drag a community's density out of line.
+    With any source, float rounding can leave two pooled blocks whose
+    recomputed segment centroids or densities tie.
     """
 
 
@@ -86,17 +87,14 @@ class CommunitySequence:
 def _group_arrays(g: Graph, order: VertexOrder):
     """Vectorized slot statistics per order position past the source.
 
-    Returns (a, x, internal, count, sumw) arrays indexed by position - s:
-    a[i] is the slot count, x[i] the mean slot weight, internal[i] the
-    within-group SSE, count[i] and sumw[i] the number and total weight
-    of actual edges in the group.  Requires source_size >= 1.
+    Returns (a, x, internal, source_w): arrays indexed by position - s,
+    where a[i] is the slot count, x[i] the mean slot weight and
+    internal[i] the within-group SSE, and the total weight of the edges
+    inside the source prefix.  Requires source_size >= 1.
     """
     n = g.num_vertices
     s = order.source_size
-    pos = np.empty(n, dtype=np.int64)
-    pos[np.asarray(order.sequence, dtype=np.int64)] = np.arange(n)
-    us, vs, ws = g.edge_arrays()
-    later = np.maximum(pos[us], pos[vs]) if len(us) else np.empty(0, dtype=np.int64)
+    later, ws = _later_positions(g, order)
     # each edge belongs to the group of its later endpoint; edges fully
     # inside the source prefix belong to no group
     mask = later >= s
@@ -109,7 +107,15 @@ def _group_arrays(g: Graph, order: VertexOrder):
     # nonnegative-term SSE: actual slots around the mean, then zero slots
     dev = np.bincount(lat, weights=(w_m - x[lat]) ** 2, minlength=n - s)
     internal = dev + (a - count) * x * x
-    return a, x, internal, count, sumw
+    return a, x, internal, float(ws[~mask].sum())
+
+
+def _later_positions(g: Graph, order: VertexOrder) -> tuple[np.ndarray, np.ndarray]:
+    """Order position of each edge's later endpoint, and the edge weights."""
+    pos = np.empty(g.num_vertices, dtype=np.int64)
+    pos[np.asarray(order.sequence, dtype=np.int64)] = np.arange(g.num_vertices)
+    us, vs, ws = g.edge_arrays()
+    return np.maximum(pos[us], pos[vs]), ws
 
 
 def build_group_sequence(g: Graph, order: VertexOrder) -> list[GroupPoint]:
@@ -122,7 +128,7 @@ def build_group_sequence(g: Graph, order: VertexOrder) -> list[GroupPoint]:
     """
     if order.source_size < 1:
         raise ValueError("order must carry a non-empty source prefix")
-    a, x, internal, _, _ = _group_arrays(g, order)
+    a, x, internal, _ = _group_arrays(g, order)
     seq = order.sequence
     s = order.source_size
     return [GroupPoint(vertex=seq[s + i], pair_count=int(a[i]),
@@ -141,7 +147,8 @@ def pav_pool(points: Iterable[tuple[float, float]]) -> list[Block]:
     Returns
     -------
     Blocks tiling the input, each with the weighted mean of its span;
-    means are strictly decreasing (equal-mean neighbors are merged).
+    reported means are strictly decreasing (neighbors whose reported
+    means are equal are merged, even when their sums differ by rounding).
     Among all non-increasing fits, the block means minimize the
     weighted sum of squared deviations; total weight and total
     weight*mean are conserved (exactly so when the inputs are exactly
@@ -153,10 +160,10 @@ def pav_pool(points: Iterable[tuple[float, float]]) -> list[Block]:
         if w <= 0:
             raise ValueError(f"point {i}: weight must be positive, got {w}")
         stack.append([i, i + 1, float(w), float(w) * float(v), 0.0])
-        while len(stack) >= 2 and (stack[-2][3] * stack[-1][2]
-                                   <= stack[-1][3] * stack[-2][2]):
-            # previous mean <= current mean: merge (compare via cross-products
-            # to avoid the division; weights are positive)
+        while len(stack) >= 2 and (stack[-2][3] / stack[-2][2]
+                                   <= stack[-1][3] / stack[-1][2]):
+            # previous mean <= current mean: merge.  The quotients are the
+            # means the blocks report, so no two reported means tie.
             s2 = stack.pop()
             s1 = stack[-1]
             w1, w2 = s1[2], s2[2]
@@ -226,8 +233,9 @@ def discover(g: Graph, order: VertexOrder, k: int) -> CommunitySequence:
     scoring the resulting breakpoints directly from the graph.
 
     Raises InfeasibleKError when fewer than k pooled blocks exist, and
-    DensityMonotonicityError if the community densities fail to
-    decrease strictly (possible only for sources of 2+ vertices).
+    DensityMonotonicityError if the segment centroids or community
+    densities fail to decrease strictly (a source of 2+ vertices, or a
+    float tie between pooled blocks).
     """
     s = order.source_size
     n = g.num_vertices
@@ -235,7 +243,7 @@ def discover(g: Graph, order: VertexOrder, k: int) -> CommunitySequence:
         raise ValueError("order must carry a non-empty source prefix")
     if n - s < 1:
         raise ValueError("source covers every vertex; nothing to segment")
-    a, x, internal, _, _ = _group_arrays(g, order)
+    a, x, internal, source_w = _group_arrays(g, order)
     blocks = pav_pool(zip(a.tolist(), x.tolist()))
     cuts, dp_cost = segment_dp(blocks, k)
 
@@ -261,14 +269,10 @@ def discover(g: Graph, order: VertexOrder, k: int) -> CommunitySequence:
 
     for j in range(1, k):
         if not centroids[j] < centroids[j - 1]:
-            raise AssertionError("segment centroids not strictly decreasing")
+            raise DensityMonotonicityError(
+                f"segment centroids not strictly decreasing at segment {j + 1}: "
+                f"{centroids[j - 1]} then {centroids[j]}")
 
-    src = set(order.sequence[:s])
-    source_w = 0.0
-    for v in src:
-        for u, w in g.adjacency[v].items():
-            if v < u and u in src:
-                source_w += w
     cum_w = source_w
     densities: list[float] = []
     for j in range(k):
@@ -313,12 +317,9 @@ def score_sequence(g: Graph, order: VertexOrder,
         raise ValueError("order must carry a non-empty source prefix")
     k = len(bps) - 1
 
-    pos = np.empty(n, dtype=np.int64)
-    pos[np.asarray(order.sequence, dtype=np.int64)] = np.arange(n)
-    us, vs, ws = g.edge_arrays()
-    later = np.maximum(pos[us], pos[vs]) if len(us) else np.empty(0, dtype=np.int64)
+    later, ws = _later_positions(g, order)
     inside_src = later < s
-    source_w = float(ws[inside_src].sum()) if len(us) else 0.0
+    source_w = float(ws[inside_src].sum())
     seg = np.searchsorted(np.asarray(bps[1:], dtype=np.int64), later, side="right")
 
     live = ~inside_src

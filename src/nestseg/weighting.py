@@ -87,7 +87,7 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
 
     us, vs, ws = g.edge_arrays()
     data = ws if use_edge_weights else np.ones(len(us))
-    # symmetric adjacency; rows index the walker's current vertex
+    # symmetric weight matrix; rows index the walker's current vertex
     rows = np.concatenate([us, vs])
     cols = np.concatenate([vs, us])
     vals = np.concatenate([data, data])
@@ -115,25 +115,24 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
 
 def apply_weighting(g: Graph, pr: PageRankVector,
                     scheme: WeightingScheme) -> Graph:
-    """Re-weight every edge of g from the walk scores; edge set unchanged."""
-    if scheme is WeightingScheme.ORIGINAL:
-        us, vs, ws = g.edge_arrays()
-        new_w = ws
-    else:
-        us, vs, ws = g.edge_arrays()
+    """Re-weight every edge of g from the walk scores; edge set unchanged.
+
+    The result is built from g's u < v edge arrays, so its neighbor
+    order follows that edge order rather than g's rows.
+    """
+    us, vs, ws = g.edge_arrays()
+    if scheme is not WeightingScheme.ORIGINAL:
         p = pr.p
         if len(p) != g.num_vertices:
             raise ValueError("score vector does not cover all vertices")
         pu, pv = p[us], p[vs]
         if scheme is WeightingScheme.NORM:
-            deg = np.array([g.degree(v) for v in range(g.num_vertices)],
-                           dtype=np.float64)
-            new_w = pu / deg[us] + pv / deg[vs]
+            deg = np.diff(g.indptr).astype(np.float64)
+            ws = pu / deg[us] + pv / deg[vs]
         elif scheme is WeightingScheme.SUM:
-            new_w = pu + pv
+            ws = pu + pv
         elif scheme is WeightingScheme.MIN:
-            new_w = np.minimum(pu, pv)
+            ws = np.minimum(pu, pv)
         else:  # pragma: no cover
             raise ValueError(f"unhandled scheme {scheme}")
-    triples = zip(us.tolist(), vs.tolist(), new_w.tolist())
-    return Graph.from_edges(list(g.labels), triples, _validated=True)
+    return Graph(g.labels, us, vs, ws)

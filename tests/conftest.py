@@ -25,6 +25,18 @@ def lesmis() -> Graph:
     return load_edge_list_path(str(LESMIS))
 
 
+def edge_list(g: Graph) -> list[tuple[int, int, float]]:
+    """Each edge once as (u, v, w) with u < v."""
+    us, vs, ws = g.edge_arrays()
+    return list(zip(us.tolist(), vs.tolist(), ws.tolist()))
+
+
+def neighbor_weights(g: Graph, v: int) -> dict[int, float]:
+    """Neighbors of v mapped to edge weights, read from v's CSR row."""
+    lo, hi = g.indptr[v], g.indptr[v + 1]
+    return dict(zip(g.indices[lo:hi].tolist(), g.weights[lo:hi].tolist()))
+
+
 def path_graph(n: int = 4) -> Graph:
     labels = [chr(ord("a") + i) for i in range(n)]
     return Graph.from_edges(labels, [(i, i + 1, 1.0) for i in range(n - 1)])

@@ -14,21 +14,21 @@ import time
 import numpy as np
 import pytest
 
-from nestseg.graph_core import Graph, induced_density, load_edge_list_path
+from nestseg.graph_core import Graph, load_edge_list_path
 from nestseg.ordering import (VertexOrder, degree_order, densest_prefix,
                               hops_levels, pagerank_order, sort_vertices)
 from nestseg.oracle import (brute_force_antitonic_fit,
                             brute_force_densest_subgraph,
                             brute_force_segmentation, check_peel_lower_bound,
                             check_peel_upper_bound, check_prop_density,
-                            random_graph, sample_peel_bounds)
+                            induced_density, random_graph, sample_peel_bounds)
 from nestseg.segmentation import (InfeasibleKError, build_group_sequence,
                                   discover, pav_pool, score_sequence,
                                   segment_dp, Block)
 from nestseg.weighting import (WeightingScheme, apply_weighting,
                                personalized_pagerank)
 
-from conftest import KARATE, LESMIS
+from conftest import KARATE, LESMIS, neighbor_weights
 
 
 def report(num: int, label: str, ok: bool, detail: str):
@@ -354,7 +354,7 @@ def _one_step(g: Graph, S, p: np.ndarray) -> np.ndarray:
     nxt = restart * r
     lost = 0.0
     for v in range(n):
-        nbrs = g.adjacency[v]
+        nbrs = neighbor_weights(g, v)
         if not nbrs:
             lost += p[v]
             continue
@@ -381,8 +381,7 @@ def test_criterion_11_scales_to_a_million_edges():
     codes = codes[:m]
     lo, hi = codes // n, codes % n
     labels = [str(i) for i in range(n)]
-    g = Graph.from_edges(
-        labels, zip(lo.tolist(), hi.tolist(), [1.0] * m), _validated=True)
+    g = Graph.from_edges(labels, zip(lo.tolist(), hi.tolist(), [1.0] * m))
     assert g.total_edge_count == m
 
     start = time.perf_counter()

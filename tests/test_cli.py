@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nestseg
 from nestseg.cli import (ComparisonReport, RunConfig, compare_baselines,
                          export_dot, export_tsv, main, resolve_source,
                          run_pipeline)
@@ -230,6 +235,17 @@ def test_infeasible_k_exits_two_with_maximum(capsys):
     assert "max feasible" in err
 
 
+def test_complete_graph_ties_exit_two_not_crash(tmp_path, capsys):
+    # K7 under the min scheme: every group mean is the same float, so
+    # the pooled blocks must collapse to one instead of tying
+    k7 = tmp_path / "K7.txt"
+    k7.write_text("".join(f"{u} {v}\n" for u in range(7) for v in range(u + 1, 7)))
+    code, _, err = run_cli(capsys, "run", "--input", str(k7), "-k", "2",
+                           "--scheme", "min")
+    assert code == 2, err
+    assert "max feasible k=1" in err
+
+
 def test_zero_k_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "--input", KARATE_PATH, "-k", "0")
     assert code == 1
@@ -244,6 +260,16 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "run" in out and "compare" in out
+
+
+@pytest.mark.parametrize("module", ["nestseg", "nestseg.cli"])
+def test_python_dash_m_runs_without_warnings(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(nestseg.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", module, "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: nestseg" in proc.stdout
+    assert "Warning" not in proc.stderr
 
 
 # ------------------------------------------------------------------ library

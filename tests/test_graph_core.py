@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestseg.graph_core import (Graph, GraphFormatError, avg_degree_density,
-                                cross_density, cross_pair_count, cross_weight,
-                                induced_density, induced_weight,
-                                load_edge_list)
+from nestseg.graph_core import Graph, GraphFormatError, load_edge_list
+from nestseg.oracle import (avg_degree_density, cross_density,
+                            cross_pair_count, cross_weight, induced_density,
+                            induced_weight)
 
-from conftest import dyadic_graph, path_graph, star_graph, triangle_graph
+from conftest import (dyadic_graph, edge_list, neighbor_weights, path_graph,
+                      star_graph, triangle_graph)
 
 
 # ---------------------------------------------------------------- parsing
@@ -23,10 +24,11 @@ def test_parse_basic_edge_list():
     assert g.labels == ["a", "b", "c"]
     assert g.num_vertices == 3
     assert g.total_edge_count == 3
-    assert g.adjacency[g.label_index["a"]][g.label_index["b"]] == 2.5
+    a, b, c = (neighbor_weights(g, g.label_index[x]) for x in "abc")
+    assert a[g.label_index["b"]] == 2.5
     # missing weight defaults to 1.0
-    assert g.adjacency[g.label_index["b"]][g.label_index["c"]] == 1.0
-    assert g.adjacency[g.label_index["a"]][g.label_index["c"]] == 0.5
+    assert b[g.label_index["c"]] == 1.0
+    assert a[g.label_index["c"]] == 0.5
 
 
 def test_parse_labels_in_first_appearance_order():
@@ -43,6 +45,8 @@ def test_parse_labels_in_first_appearance_order():
     (["a b nan"], "finite"),
     (["a b inf"], "finite"),
     (["a b 1", "b a 2"], "duplicate"),
+    # skipped lines count, and an earlier bad edge beats a later bad line
+    (["# h", "", "a b", "# x", "b a 2", "c d oops"], "line 5: duplicate"),
 ])
 def test_parse_rejects_malformed_lines(lines, fragment):
     with pytest.raises(GraphFormatError) as exc:
@@ -54,6 +58,15 @@ def test_parse_error_reports_one_based_line_number():
     with pytest.raises(GraphFormatError) as exc:
         load_edge_list(["# header", "a b 1", "c d oops"])
     assert "line 3" in str(exc.value)
+
+
+def test_rows_keep_edge_order():
+    # edge i adds a_i -> b_i and then b_i -> a_i; rows keep that order
+    g = Graph.from_edges(list("abcd"), [(2, 0, 1.0), (0, 1, 2.0), (3, 0, 3.0),
+                                        (1, 2, 4.0)])
+    rows = [g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() for v in range(4)]
+    assert rows == [[2, 1, 3], [0, 2], [0, 1], [0]]
+    assert edge_list(g) == [(0, 2, 1.0), (0, 1, 2.0), (0, 3, 3.0), (1, 2, 4.0)]
 
 
 def test_zero_weight_edges_are_allowed():
@@ -80,7 +93,7 @@ def test_degrees_and_edge_iteration():
     assert g.degree(b) == 2
     assert g.weighted_degree(b) == 5.0
     assert g.weighted_degree(a) == 2.5
-    edges = sorted(g.edges())
+    edges = sorted(edge_list(g))
     assert edges == [(a, b, 2.0), (a, c, 0.5), (b, c, 3.0)]
     us, vs, ws = g.edge_arrays()
     assert len(us) == len(vs) == len(ws) == 3
@@ -113,7 +126,7 @@ def test_cross_weight_matches_enumeration(seed, n, S, T):
     g = dyadic_graph(seed, n)
     S = {v for v in S if v < n}
     T = {v for v in T if v < n}
-    expected = sum(g.adjacency[u].get(v, 0.0)
+    expected = sum(neighbor_weights(g, u).get(v, 0.0)
                    for u, v in _enumerate_pairs(S, T))
     assert cross_weight(g, S, T) == pytest.approx(expected, abs=1e-12)
 
@@ -158,7 +171,7 @@ def test_avg_degree_density():
 @given(st.integers(0, 9999), st.integers(2, 8))
 def test_total_weight_is_conserved_across_views(seed, n):
     g = dyadic_graph(seed, n)
-    total = sum(w for _, _, w in g.edges())
+    total = sum(w for _, _, w in edge_list(g))
     assert induced_weight(g, set(range(n))) == total
     assert sum(g.weighted_degree(v) for v in range(n)) == 2 * total
     assert math.isclose(g.edge_arrays()[2].sum(), total, abs_tol=0)

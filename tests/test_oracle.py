@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from nestseg.graph_core import Graph, induced_density
+from nestseg.graph_core import Graph
 from nestseg.ordering import sort_vertices
 from nestseg.oracle import (DEFAULT_BUDGET, OracleBudget,
                             brute_force_antitonic_fit,
@@ -16,10 +16,11 @@ from nestseg.oracle import (DEFAULT_BUDGET, OracleBudget,
                             brute_force_segmentation,
                             brute_force_sparse_nbhd, check_peel_lower_bound,
                             check_peel_upper_bound, check_prop_density,
-                            random_graph, sample_peel_bounds)
+                            induced_density, random_graph, sample_peel_bounds)
 from nestseg.segmentation import discover, score_sequence
 
-from conftest import dyadic_graph, k4_pendant, path_graph, triangle_graph
+from conftest import (dyadic_graph, edge_list, k4_pendant, neighbor_weights,
+                      path_graph, triangle_graph)
 
 
 def test_segmentation_oracle_hand_case():
@@ -141,18 +142,18 @@ def test_sampled_peel_bounds_on_larger_graph():
 def test_random_graph_determinism_and_connectivity():
     a = random_graph(random.Random(42), 10, 0.3, weighted=True, connected=True)
     b = random_graph(random.Random(42), 10, 0.3, weighted=True, connected=True)
-    assert sorted(a.edges()) == sorted(b.edges())
+    assert sorted(edge_list(a)) == sorted(edge_list(b))
     # connected=True guarantees a spanning tree
     seen = {0}
     frontier = [0]
     while frontier:
         v = frontier.pop()
-        for u in a.adjacency[v]:
+        for u in neighbor_weights(a, v):
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
     assert seen == set(range(10))
-    assert all(w in {i / 4 for i in range(1, 17)} for _, _, w in a.edges())
+    assert all(w in {i / 4 for i in range(1, 17)} for _, _, w in edge_list(a))
 
 
 def test_budget_override():

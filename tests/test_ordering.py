@@ -13,7 +13,8 @@ from nestseg.ordering import (VertexOrder, degree_order, densest_prefix,
                               hops_levels, pagerank_order, sort_vertices)
 from nestseg.weighting import personalized_pagerank
 
-from conftest import dyadic_graph, k4_pendant, path_graph, star_graph
+from conftest import (dyadic_graph, k4_pendant, neighbor_weights, path_graph,
+                      star_graph)
 
 
 def _labels(g: Graph, order: VertexOrder) -> list[str]:
@@ -64,7 +65,7 @@ def _naive_peel(g: Graph, S: set[int]) -> list[int]:
     removals = []
     while present - S:
         def wdeg(v):
-            return sum(w for u, w in g.adjacency[v].items() if u in present)
+            return sum(w for u, w in neighbor_weights(g, v).items() if u in present)
         v = min(present - S, key=lambda v: (wdeg(v), v))
         removals.append(v)
         present.discard(v)

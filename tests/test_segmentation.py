@@ -9,16 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestseg.graph_core import Graph, cross_pair_count
+from nestseg.graph_core import Graph
 from nestseg.ordering import VertexOrder, sort_vertices
 from nestseg.oracle import (brute_force_antitonic_fit,
-                            brute_force_segmentation)
+                            brute_force_segmentation, cross_pair_count,
+                            random_graph)
 from nestseg.segmentation import (Block, DensityMonotonicityError,
                                   InfeasibleKError, build_group_sequence,
                                   discover, pav_pool, score_sequence,
                                   segment_dp)
+from nestseg.weighting import (WeightingScheme, apply_weighting,
+                               personalized_pagerank)
 
-from conftest import dyadic_graph, path_graph
+from conftest import dyadic_graph, neighbor_weights, path_graph
 
 
 # ------------------------------------------------------------ group points
@@ -79,6 +82,14 @@ def test_pool_merges_equal_means():
     assert len(blocks) == 1
     assert blocks[0].mean == pytest.approx(2.0)
     assert blocks[0].sse == pytest.approx(0.0)
+
+
+def test_pool_merges_means_that_tie_after_rounding():
+    # equal values whose accumulated sums differ in the last bit still
+    # report equal means, so they must end in one block
+    m = 0.13043478260831484
+    blocks = pav_pool([(w, m) for w in range(1, 7)])
+    assert [(b.start, b.end, b.mean) for b in blocks] == [(0, 6, m)]
 
 
 def test_pool_single_block_for_increasing_input():
@@ -256,6 +267,32 @@ def test_single_source_densities_always_decrease():
             assert all(x > y for x, y in zip(d, d[1:]))
 
 
+def test_seeded_fuzz_raises_only_typed_errors():
+    # random small graphs, every scheme, k up to 7: each discovery either
+    # succeeds or raises one of the two documented errors, never a bare
+    # assertion (float ties between pooled blocks used to trip one)
+    rng = random.Random(0)
+    outcomes = {"ok": 0, "infeasible": 0, "not monotone": 0}
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.6, 0.9, 1.0]),
+                         weighted=rng.random() < 0.5, connected=True)
+        S = {rng.randrange(n)}
+        pr = personalized_pagerank(g, S)
+        for scheme in WeightingScheme:
+            wg = apply_weighting(g, pr, scheme)
+            order = sort_vertices(wg, S)
+            try:
+                discover(wg, order, rng.randint(1, 7))
+                outcomes["ok"] += 1
+            except InfeasibleKError:
+                outcomes["infeasible"] += 1
+            except DensityMonotonicityError:
+                outcomes["not monotone"] += 1
+    assert sum(outcomes.values()) == 1200
+    assert outcomes["ok"] > 900, outcomes
+
+
 # ------------------------------------------------------------------- scoring
 
 def _direct_objective(g: Graph, order: VertexOrder, breakpoints):
@@ -276,13 +313,13 @@ def _direct_objective(g: Graph, order: VertexOrder, breakpoints):
             for v in members[i + 1:]:
                 if u in prev and v in prev:
                     continue
-                shell_pairs.append(g.adjacency[u].get(v, 0.0))
+                shell_pairs.append(neighbor_weights(g, u).get(v, 0.0))
         mean = sum(shell_pairs) / len(shell_pairs)
         total += sum((w - mean) ** 2 for w in shell_pairs)
         centroids.append(mean)
         pairs = cross_pair_count(cur, cur)
         densities.append(
-            sum(g.adjacency[u].get(v, 0.0)
+            sum(neighbor_weights(g, u).get(v, 0.0)
                 for i, u in enumerate(members) for v in members[i + 1:])
             / pairs)
         prev = cur

@@ -12,7 +12,8 @@ from nestseg.graph_core import Graph
 from nestseg.weighting import (ConvergenceError, WeightingScheme,
                                apply_weighting, personalized_pagerank)
 
-from conftest import dyadic_graph, path_graph, star_graph
+from conftest import (dyadic_graph, edge_list, neighbor_weights, path_graph,
+                      star_graph)
 
 
 def test_two_vertex_closed_form():
@@ -104,7 +105,7 @@ def test_mass_conservation_on_random_graphs(seed, n):
 # ------------------------------------------------------------- reweighting
 
 def _edge_weight(g: Graph, a: int, b: int) -> float:
-    return g.adjacency[a][b]
+    return neighbor_weights(g, a)[b]
 
 
 def test_scheme_formulas_pointwise():
@@ -118,7 +119,7 @@ def test_scheme_formulas_pointwise():
     wm = apply_weighting(g, pr, WeightingScheme.MIN)
     wo = apply_weighting(g, pr, WeightingScheme.ORIGINAL)
 
-    for u, v, w in g.edges():
+    for u, v, w in edge_list(g):
         assert _edge_weight(wn, u, v) == pytest.approx(
             p[u] / g.degree(u) + p[v] / g.degree(v), abs=1e-12)
         assert _edge_weight(ws, u, v) == pytest.approx(p[u] + p[v], abs=1e-12)
@@ -132,9 +133,9 @@ def test_reweighting_keeps_structure():
     wg = apply_weighting(g, pr, WeightingScheme.SUM)
     assert wg.labels == g.labels
     assert wg.num_vertices == g.num_vertices
-    assert sorted((u, v) for u, v, _ in wg.edges()) == \
-        sorted((u, v) for u, v, _ in g.edges())
-    assert all(w >= 0 for _, _, w in wg.edges())
+    assert sorted((u, v) for u, v, _ in edge_list(wg)) == \
+        sorted((u, v) for u, v, _ in edge_list(g))
+    assert all(w >= 0 for _, _, w in edge_list(wg))
 
 
 def test_scheme_parse():
@@ -153,6 +154,6 @@ def test_norm_scheme_uses_unweighted_degree():
     pr2 = personalized_pagerank(g2, {0})
     w1 = apply_weighting(g1, pr1, WeightingScheme.NORM)
     w2 = apply_weighting(g2, pr2, WeightingScheme.NORM)
-    for u, v, _ in g1.edges():
+    for u, v, _ in edge_list(g1):
         assert _edge_weight(w1, u, v) == pytest.approx(
             _edge_weight(w2, u, v), abs=1e-12)

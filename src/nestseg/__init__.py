@@ -33,6 +33,8 @@ from .segmentation import (
     DensityMonotonicityError,
     GroupPoint,
     InfeasibleKError,
+    SegmentTable,
+    Segmenter,
     build_group_sequence,
     discover,
     pav_pool,
@@ -48,8 +50,9 @@ __all__ = [
     "VertexOrder", "degree_order", "densest_prefix", "hops_levels",
     "pagerank_order", "sort_vertices",
     "Block", "CommunitySequence", "DensityMonotonicityError",
-    "GroupPoint", "InfeasibleKError", "build_group_sequence", "discover",
-    "pav_pool", "score_sequence", "segment_dp",
+    "GroupPoint", "InfeasibleKError", "SegmentTable", "Segmenter",
+    "build_group_sequence", "discover", "pav_pool", "score_sequence",
+    "segment_dp",
 ]
 
 __version__ = "0.1.0"

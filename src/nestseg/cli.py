@@ -21,8 +21,8 @@ from .graph_core import Graph, GraphFormatError, load_edge_list_path
 from .ordering import (VertexOrder, degree_order, hops_levels, pagerank_order,
                        sort_vertices)
 from .segmentation import (Block, CommunitySequence, InfeasibleKError,
-                           build_group_sequence, discover, pav_pool,
-                           score_sequence, segment_dp)
+                           Segmenter, build_group_sequence, discover,
+                           pav_pool, score_sequence, segment_dp)
 from .weighting import (PageRankVector, WeightingScheme, apply_weighting,
                         personalized_pagerank)
 from . import oracle
@@ -236,7 +236,8 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> ComparisonReport:
     most both baseline scores.  Ratios are normalized by the same order
     and scheme's k=1 score.  The fixed hop-level sequence is scored
     once per scheme at its own community count.  Infeasible cells (k
-    exceeding an order's block count) score infinity.
+    exceeding an order's block count) score infinity.  Each (scheme,
+    order) is pooled once and its one DP table answers every k.
     """
     g = load_edge_list_path(cfg.input_path)
     S = resolve_source(g, cfg.source)
@@ -254,14 +255,13 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> ComparisonReport:
         scores: dict[str, dict[str, float]] = {name: {} for name in orders}
         ratios: dict[str, dict[str, float | None]] = {name: {} for name in orders}
         wins: dict[str, bool] = {}
-        base: dict[str, float] = {}
-        for name, order in orders.items():
-            base[name] = discover(wg, order, 1).total_score
+        segmenters = {name: Segmenter(wg, order) for name, order in orders.items()}
+        base = {name: seg.discover(1).total_score for name, seg in segmenters.items()}
         for k in k_range:
             cell: dict[str, float] = {}
-            for name, order in orders.items():
+            for name, seg in segmenters.items():
                 try:
-                    total = discover(wg, order, k).total_score
+                    total = seg.discover(k).total_score
                 except InfeasibleKError:
                     total = math.inf
                 cell[name] = total
@@ -282,7 +282,7 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> ComparisonReport:
             hops_score, _, _ = score_sequence(wg, hops_order, bps)
             k_hops = len(bps) - 1
             try:
-                peel_at = discover(wg, orders["peel"], k_hops).total_score
+                peel_at = segmenters["peel"].discover(k_hops).total_score
             except InfeasibleKError:
                 peel_at = math.inf
             report.hops[scheme.value] = {

@@ -12,12 +12,15 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .graph_core import Graph, VertexSet
 from .ordering import VertexOrder
+from .segmentation import (Block, InfeasibleKError, _centred_prefix_sums,
+                           _span_cost)
 
 
 def random_graph(rng: random.Random, n: int, edge_prob: float,
@@ -164,6 +167,94 @@ def brute_force_segmentation(points: Sequence[tuple[float, float]], k: int,
             best_cost = cost
             best_cuts = list(cuts)
     return best_cuts, best_cost
+
+
+def reference_segment_dp(blocks: Sequence[Block], k: int
+                         ) -> tuple[list[int], float]:
+    """segment_dp by a full scan of every predecessor of every cell.
+
+    O(N^2 k), with the same centred span costs as segment_dp, so on
+    inputs where the optimal predecessor is monotone the two return
+    bit-identical cuts and cost (smallest predecessor on ties).
+    """
+    n = len(blocks)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > n:
+        raise InfeasibleKError(k, n)
+    prefix = _centred_prefix_sums(blocks)
+    idx = np.arange(n + 1)
+    best = np.full((k + 1, n + 1), np.inf)
+    back = np.zeros((k + 1, n + 1), dtype=np.int64)
+    best[0, 0] = 0.0
+    for ell in range(1, k + 1):
+        for j in range(ell, n + 1):
+            lo = ell - 1
+            cand = best[ell - 1, lo:j] + _span_cost(prefix, idx[lo:j], j)
+            t = int(np.argmin(cand))
+            best[ell, j] = cand[t]
+            back[ell, j] = lo + t
+    cuts = [n]
+    for ell in range(k, 0, -1):
+        cuts.append(int(back[ell, cuts[-1]]))
+    cuts.reverse()
+    return cuts, float(best[k, n])
+
+
+def exact_segment_cost(points: Sequence[tuple[float, float]],
+                       cuts: Sequence[int]) -> Fraction:
+    """Summed weighted SSE of the segments between cuts, in exact rationals."""
+    total = Fraction(0)
+    for a, b in zip(cuts, cuts[1:]):
+        seg = [(Fraction(w), Fraction(v)) for w, v in points[a:b]]
+        w_tot = sum(w for w, _ in seg)
+        mu = sum(w * v for w, v in seg) / w_tot
+        total += sum(w * (v - mu) ** 2 for w, v in seg)
+    return total
+
+
+def exact_segmentation(points: Sequence[tuple[float, float]], k: int
+                       ) -> tuple[list[int], Fraction]:
+    """Optimal k-segmentation of weighted points in exact rationals.
+
+    The O(N^2 k) DP over every predecessor, with span costs
+    sq - sx^2/w from Fraction prefix sums, so no cancellation occurs
+    however narrow the band of values.  Centroid order is not checked:
+    on strictly decreasing values every segmentation has strictly
+    decreasing centroids.  Ties: smallest predecessor.
+    """
+    n = len(points)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    pw, px, pq = [Fraction(0)], [Fraction(0)], [Fraction(0)]
+    for w, v in points:
+        fw, fv = Fraction(w), Fraction(v)
+        pw.append(pw[-1] + fw)
+        px.append(px[-1] + fw * fv)
+        pq.append(pq[-1] + fw * fv * fv)
+
+    def cost(i: int, j: int) -> Fraction:
+        sx = px[j] - px[i]
+        return pq[j] - pq[i] - sx * sx / (pw[j] - pw[i])
+
+    best: list[list[Fraction | None]] = [[Fraction(0)] + [None] * n]
+    back: list[list[int]] = [[0] * (n + 1)]
+    for ell in range(1, k + 1):
+        row: list[Fraction | None] = [None] * (n + 1)
+        arg = [0] * (n + 1)
+        for j in range(ell, n + 1):
+            # row 0 is finite at 0 only
+            for i in (range(ell - 1, j) if ell > 1 else (0,)):
+                c = best[-1][i] + cost(i, j)
+                if row[j] is None or c < row[j]:
+                    row[j], arg[j] = c, i
+        best.append(row)
+        back.append(arg)
+    cuts = [n]
+    for ell in range(k, 0, -1):
+        cuts.append(back[ell][cuts[-1]])
+    cuts.reverse()
+    return cuts, best[k][n]
 
 
 def brute_force_antitonic_fit(points: Sequence[tuple[float, float]],

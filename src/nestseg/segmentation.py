@@ -7,8 +7,10 @@ the mean weight of those slots.  Cutting the order into k segments and
 scoring each segment's slot weights around their mean is then a
 weighted least-squares segmentation of that point sequence, up to a
 constant (the within-group variances).  Pooling adjacent violators
-first makes the decreasing-mean constraint free, and a quadratic DP on
-the pooled blocks picks the optimal k cuts.
+first makes the decreasing-mean constraint free, and a DP on the pooled
+blocks picks the optimal k cuts: weighted 1-D k-means on sorted
+values, whose optimal predecessor is monotone, so each DP row is filled
+by divide and conquer in O(N log N).
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from .ordering import VertexOrder
 
 
 class InfeasibleKError(ValueError):
-    """Requested more segments than strictly decreasing means allow."""
+    """Requested more segments than there are pooled blocks.
+
+    max_feasible is the pooled block count, the largest k the DP
+    answers.  It is not an exact maximum: cutting inside a pooled block
+    can still give strictly decreasing segment centroids, so a larger
+    k can be feasible (e.g. 3 segments of 12 points pooled into 2
+    blocks).  The message keeps the words "max feasible k".
+    """
 
     def __init__(self, k: int, max_feasible: int):
         super().__init__(
@@ -176,6 +185,107 @@ def pav_pool(points: Iterable[tuple[float, float]]) -> list[Block]:
                   mean=r[3] / r[2], sse=r[4]) for r in stack]
 
 
+_Prefix = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _centred_prefix_sums(blocks: Sequence[Block]) -> _Prefix:
+    """Prefix sums of w, w*c and w*c^2, with c the block means less their
+    weighted mean.
+
+    The span SSE does not change under a shift of the means; centring
+    keeps sq - sx^2/w from cancelling when the means spread far less
+    than their level (PPR-derived weights around 1e-5).
+    """
+    A = np.array([b.weight for b in blocks])
+    M = np.array([b.mean for b in blocks])
+    C = M - (A * M).sum() / A.sum()
+    zero = np.zeros(1)
+    return (np.concatenate([zero, np.cumsum(A)]),
+            np.concatenate([zero, np.cumsum(A * C)]),
+            np.concatenate([zero, np.cumsum(A * C * C)]))
+
+
+def _span_cost(prefix: _Prefix, i: np.ndarray, j) -> np.ndarray:
+    """SSE of blocks[i:j] around their weighted centroid, elementwise."""
+    pa, pac, pac2 = prefix
+    w = pa[j] - pa[i]
+    sx = pac[j] - pac[i]
+    sq = pac2[j] - pac2[i]
+    return np.maximum(sq - sx * sx / w, 0.0)
+
+
+def _dp_row(prefix: _Prefix, prev: np.ndarray, ell: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Row ell of the DP from row ell-1, for every end j in [ell, N].
+
+    best[j] = min over i in [ell-1, j-1] of prev[i] + cost(i, j), and
+    back[j] its smallest minimizing i.  Block means strictly decrease,
+    so the cost meets the quadrangle inequality and back[j] is
+    nondecreasing in j: divide and conquer settles the midpoint of
+    every open interval of ends at once, searching only the window
+    [back(left end), back(right end)], so a row takes O(log N) passes
+    of O(N) vectorized work.
+    """
+    n = len(prev) - 1
+    best = np.full(n + 1, np.inf)
+    back = np.zeros(n + 1, dtype=np.int64)
+    # open intervals of ends [lo, hi], predecessor windows [wlo, whi]
+    lo, hi = np.array([ell]), np.array([n])
+    wlo, whi = np.array([ell - 1]), np.array([n - 1])
+    while lo.size:
+        mid = (lo + hi) // 2
+        lens = np.minimum(whi, mid - 1) - wlo + 1
+        starts = np.cumsum(lens) - lens
+        i = np.arange(lens.sum()) + np.repeat(wlo - starts, lens)
+        cand = prev[i] + _span_cost(prefix, i, np.repeat(mid, lens))
+        low = np.minimum.reduceat(cand, starts)
+        # first minimum of each window: the smallest predecessor wins ties
+        hits = np.flatnonzero(cand == np.repeat(low, lens))
+        arg = i[hits[np.searchsorted(hits, starts)]]
+        best[mid] = low
+        back[mid] = arg
+        left, right = lo < mid, mid < hi
+        lo, hi, wlo, whi = (np.concatenate([lo[left], mid[right] + 1]),
+                            np.concatenate([mid[left] - 1, hi[right]]),
+                            np.concatenate([wlo[left], arg[right]]),
+                            np.concatenate([arg[left], whi[right]]))
+    return best, back
+
+
+class SegmentTable:
+    """Rows of the segmentation DP over pooled blocks, grown on demand.
+
+    Row ell holds, for every end j, the optimal cost of cutting the
+    first j blocks into ell segments and the start of the last one.
+    Rows do not depend on the k asked for, so a table grown to K
+    answers every k <= K.
+    """
+
+    def __init__(self, blocks: Sequence[Block]):
+        self.n = len(blocks)
+        self._prefix = _centred_prefix_sums(blocks)
+        row0 = np.full(self.n + 1, np.inf)
+        row0[0] = 0.0
+        self._best = [row0]
+        self._back = [np.zeros(self.n + 1, dtype=np.int64)]
+
+    def solve(self, k: int) -> tuple[list[int], float]:
+        """Cuts (0 and N included) and cost of the optimal k-segmentation."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if k > self.n:
+            raise InfeasibleKError(k, self.n)
+        while len(self._best) <= k:
+            best, back = _dp_row(self._prefix, self._best[-1], len(self._best))
+            self._best.append(best)
+            self._back.append(back)
+        cuts = [self.n]
+        for ell in range(k, 0, -1):
+            cuts.append(int(self._back[ell][cuts[-1]]))
+        cuts.reverse()
+        return cuts, float(self._best[k][self.n])
+
+
 def segment_dp(blocks: Sequence[Block], k: int) -> tuple[list[int], float]:
     """Optimal k-segmentation of pooled blocks by weighted SSE.
 
@@ -183,45 +293,95 @@ def segment_dp(blocks: Sequence[Block], k: int) -> tuple[list[int], float]:
     segments, the sum over segments of the weighted squared deviation of
     block means around the segment's weighted centroid.  Returns the
     k+1 cut positions in block indices (0 and len(blocks) included) and
-    the optimal cost.  Segment costs come from prefix sums in O(1);
-    overall O(N^2 k).  Cost ties resolve to the smallest predecessor
-    index at every table cell, so the result is deterministic.
+    the optimal cost.  Segment costs come from centred prefix sums in
+    O(1); the monotone optimal predecessor makes the whole DP
+    O(k N log N).  Cost ties resolve to the smallest predecessor index
+    at every table cell, so the result is deterministic.  Raises
+    InfeasibleKError when k exceeds the block count N.
     """
-    n = len(blocks)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise InfeasibleKError(k, n)
-    A = np.array([b.weight for b in blocks])
-    M = np.array([b.mean for b in blocks])
-    pa = np.concatenate([[0.0], np.cumsum(A)])
-    pax = np.concatenate([[0.0], np.cumsum(A * M)])
-    pax2 = np.concatenate([[0.0], np.cumsum(A * M * M)])
+    return SegmentTable(blocks).solve(k)
 
-    def span_cost(i: np.ndarray, j: int) -> np.ndarray:
-        # SSE of blocks[i:j] around their weighted centroid, vectorized in i
-        w = pa[j] - pa[i]
-        sx = pax[j] - pax[i]
-        sq = pax2[j] - pax2[i]
-        return np.maximum(sq - sx * sx / w, 0.0)
 
-    idx = np.arange(n + 1)
-    best = np.full((k + 1, n + 1), np.inf)
-    back = np.zeros((k + 1, n + 1), dtype=np.int64)
-    best[0, 0] = 0.0
-    for ell in range(1, k + 1):
-        for j in range(ell, n - (k - ell) + 1):
-            lo = ell - 1
-            cand = best[ell - 1, lo:j] + span_cost(idx[lo:j], j)
-            t = int(np.argmin(cand))
-            best[ell, j] = cand[t]
-            back[ell, j] = lo + t
+class Segmenter:
+    """One order's group reduction and pooling, cut at any k on demand.
 
-    cuts = [n]
-    for ell in range(k, 0, -1):
-        cuts.append(int(back[ell, cuts[-1]]))
-    cuts.reverse()
-    return cuts, float(best[k, n])
+    `discover` builds one and cuts it once with `segment_dp`; a caller
+    that needs many k for the same order keeps one, whose DP table grows
+    to the largest k asked and answers the smaller ones from its rows.
+    """
+
+    def __init__(self, g: Graph, order: VertexOrder):
+        s = order.source_size
+        if s < 1:
+            raise ValueError("order must carry a non-empty source prefix")
+        if g.num_vertices - s < 1:
+            raise ValueError("source covers every vertex; nothing to segment")
+        a, x, internal, self._source_w = _group_arrays(g, order)
+        self.order = order
+        self.blocks = pav_pool(zip(a.tolist(), x.tolist()))
+        self._block_w = np.array([b.weight for b in self.blocks])
+        self._block_m = np.array([b.mean for b in self.blocks])
+        self._block_sse = np.array([b.sse for b in self.blocks])
+        self._point_end = np.array([b.end for b in self.blocks], dtype=np.int64)
+        self._internal_cum = np.concatenate([[0.0], np.cumsum(internal)])
+        self._table: SegmentTable | None = None
+
+    def discover(self, k: int) -> CommunitySequence:
+        """The optimal k-sequence, as `discover(g, order, k)` returns it."""
+        if self._table is None:
+            self._table = SegmentTable(self.blocks)
+        return self.sequence(self._table.solve(k)[0])
+
+    def sequence(self, cuts: Sequence[int]) -> CommunitySequence:
+        """The community sequence of block cuts, scored and checked.
+
+        Raises DensityMonotonicityError if the segment centroids or
+        community densities fail to decrease strictly.
+        """
+        s = self.order.source_size
+        k = len(cuts) - 1
+        block_w, block_m = self._block_w, self._block_m
+        point_end = self._point_end
+
+        breakpoints = [s] + [s + int(point_end[t - 1]) for t in cuts[1:]]
+        centroids: list[float] = []
+        seg_scores: list[float] = []
+        for j in range(k):
+            b0, b1 = cuts[j], cuts[j + 1]
+            w = float(block_w[b0:b1].sum())
+            mu = float((block_w[b0:b1] * block_m[b0:b1]).sum() / w)
+            pooled = float(self._block_sse[b0:b1].sum()
+                           + (block_w[b0:b1] * (block_m[b0:b1] - mu) ** 2).sum())
+            p0 = int(point_end[b0 - 1]) if b0 > 0 else 0
+            p1 = int(point_end[b1 - 1])
+            seg_scores.append(pooled + float(self._internal_cum[p1]
+                                             - self._internal_cum[p0]))
+            centroids.append(mu)
+
+        for j in range(1, k):
+            if not centroids[j] < centroids[j - 1]:
+                raise DensityMonotonicityError(
+                    f"segment centroids not strictly decreasing at segment {j + 1}: "
+                    f"{centroids[j - 1]} then {centroids[j]}")
+
+        cum_w = self._source_w
+        densities: list[float] = []
+        for j in range(k):
+            b0, b1 = cuts[j], cuts[j + 1]
+            cum_w += float((block_w[b0:b1] * block_m[b0:b1]).sum())
+            t = breakpoints[j + 1]
+            densities.append(cum_w / (t * (t - 1) // 2))
+        for j in range(1, k):
+            if not densities[j] < densities[j - 1]:
+                raise DensityMonotonicityError(
+                    f"community densities not strictly decreasing at community {j + 1}: "
+                    f"{densities[j - 1]} then {densities[j]}")
+
+        return CommunitySequence(order=self.order, breakpoints=breakpoints,
+                                 segment_centroids=centroids,
+                                 segment_scores=seg_scores,
+                                 community_densities=densities,
+                                 total_score=float(sum(seg_scores)))
 
 
 def discover(g: Graph, order: VertexOrder, k: int) -> CommunitySequence:
@@ -232,65 +392,16 @@ def discover(g: Graph, order: VertexOrder, k: int) -> CommunitySequence:
     within-block SSE plus the within-group variances, identical to
     scoring the resulting breakpoints directly from the graph.
 
-    Raises InfeasibleKError when fewer than k pooled blocks exist, and
-    DensityMonotonicityError if the segment centroids or community
-    densities fail to decrease strictly (a source of 2+ vertices, or a
-    float tie between pooled blocks).
+    Raises InfeasibleKError when k exceeds the pooled block count, the
+    largest k the DP answers (not an exact maximum: a k-segmentation of
+    the unpooled points with strictly decreasing centroids can exist
+    for a larger k), and DensityMonotonicityError if the segment
+    centroids or community densities fail to decrease strictly (a
+    source of 2+ vertices, or a float tie between pooled blocks).
     """
-    s = order.source_size
-    n = g.num_vertices
-    if s < 1:
-        raise ValueError("order must carry a non-empty source prefix")
-    if n - s < 1:
-        raise ValueError("source covers every vertex; nothing to segment")
-    a, x, internal, source_w = _group_arrays(g, order)
-    blocks = pav_pool(zip(a.tolist(), x.tolist()))
-    cuts, dp_cost = segment_dp(blocks, k)
-
-    block_w = np.array([b.weight for b in blocks])
-    block_m = np.array([b.mean for b in blocks])
-    block_sse = np.array([b.sse for b in blocks])
-    point_end = np.array([b.end for b in blocks], dtype=np.int64)
-    internal_cum = np.concatenate([[0.0], np.cumsum(internal)])
-
-    breakpoints = [s] + [s + int(point_end[t - 1]) for t in cuts[1:]]
-    centroids: list[float] = []
-    seg_scores: list[float] = []
-    for j in range(k):
-        b0, b1 = cuts[j], cuts[j + 1]
-        w = float(block_w[b0:b1].sum())
-        mu = float((block_w[b0:b1] * block_m[b0:b1]).sum() / w)
-        pooled = float(block_sse[b0:b1].sum()
-                       + (block_w[b0:b1] * (block_m[b0:b1] - mu) ** 2).sum())
-        p0 = int(point_end[b0 - 1]) if b0 > 0 else 0
-        p1 = int(point_end[b1 - 1])
-        seg_scores.append(pooled + float(internal_cum[p1] - internal_cum[p0]))
-        centroids.append(mu)
-
-    for j in range(1, k):
-        if not centroids[j] < centroids[j - 1]:
-            raise DensityMonotonicityError(
-                f"segment centroids not strictly decreasing at segment {j + 1}: "
-                f"{centroids[j - 1]} then {centroids[j]}")
-
-    cum_w = source_w
-    densities: list[float] = []
-    for j in range(k):
-        b0, b1 = cuts[j], cuts[j + 1]
-        cum_w += float((block_w[b0:b1] * block_m[b0:b1]).sum())
-        t = breakpoints[j + 1]
-        densities.append(cum_w / (t * (t - 1) // 2))
-    for j in range(1, k):
-        if not densities[j] < densities[j - 1]:
-            raise DensityMonotonicityError(
-                f"community densities not strictly decreasing at community {j + 1}: "
-                f"{densities[j - 1]} then {densities[j]}")
-
-    return CommunitySequence(order=order, breakpoints=breakpoints,
-                             segment_centroids=centroids,
-                             segment_scores=seg_scores,
-                             community_densities=densities,
-                             total_score=float(sum(seg_scores)))
+    seg = Segmenter(g, order)
+    cuts, _ = segment_dp(seg.blocks, k)
+    return seg.sequence(cuts)
 
 
 def score_sequence(g: Graph, order: VertexOrder,

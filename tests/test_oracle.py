@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,8 +17,11 @@ from nestseg.oracle import (DEFAULT_BUDGET, OracleBudget,
                             brute_force_segmentation,
                             brute_force_sparse_nbhd, check_peel_lower_bound,
                             check_peel_upper_bound, check_prop_density,
-                            induced_density, random_graph, sample_peel_bounds)
-from nestseg.segmentation import discover, score_sequence
+                            exact_segment_cost, exact_segmentation,
+                            induced_density, random_graph,
+                            reference_segment_dp, sample_peel_bounds)
+from nestseg.segmentation import (Block, InfeasibleKError, discover,
+                                  score_sequence)
 
 from conftest import (dyadic_graph, edge_list, k4_pendant, neighbor_weights,
                       path_graph, triangle_graph)
@@ -44,6 +48,37 @@ def test_segmentation_oracle_budget():
         brute_force_segmentation(pts, 2)
     with pytest.raises(ValueError, match="budget"):
         brute_force_segmentation(pts[:5], 6)
+
+
+def test_dp_oracles_match_exhaustive_segmentation():
+    rng = random.Random(31)
+    for _ in range(150):
+        means = sorted({rng.randint(0, 40) / 4.0 for _ in range(rng.randint(1, 10))},
+                       reverse=True)
+        weights = [float(rng.randint(1, 5)) for _ in means]
+        points = list(zip(weights, means))
+        k = rng.randint(1, min(4, len(points)))
+        cuts, cost = brute_force_segmentation(points, k)
+        exact_cuts, exact = exact_segmentation(points, k)
+        assert float(exact) == pytest.approx(cost, abs=1e-9)
+        assert exact_segment_cost(points, exact_cuts) == exact
+        assert exact_segment_cost(points, cuts) == exact
+        blocks = [Block(i, i + 1, w, m, 0.0) for i, (w, m) in enumerate(points)]
+        ref_cuts, ref = reference_segment_dp(blocks, k)
+        assert ref == pytest.approx(cost, abs=1e-9)
+        assert exact_segment_cost(points, ref_cuts) == exact
+
+
+def test_dp_oracles_hand_case_and_bad_k():
+    points = [(1.0, 3.0), (1.0, 2.0), (1.0, 1.0)]
+    # symmetric optimum: both take the smallest predecessor
+    assert exact_segmentation(points, 2) == ([0, 1, 3], Fraction(1, 2))
+    blocks = [Block(i, i + 1, w, m, 0.0) for i, (w, m) in enumerate(points)]
+    assert reference_segment_dp(blocks, 2) == ([0, 1, 3], 0.5)
+    with pytest.raises(ValueError):
+        exact_segmentation(points, 4)
+    with pytest.raises(InfeasibleKError):
+        reference_segment_dp(blocks, 4)
 
 
 def test_antitonic_oracle_hand_case():

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +15,12 @@ from nestseg.graph_core import Graph
 from nestseg.ordering import VertexOrder, sort_vertices
 from nestseg.oracle import (brute_force_antitonic_fit,
                             brute_force_segmentation, cross_pair_count,
-                            random_graph)
+                            exact_segment_cost, exact_segmentation,
+                            random_graph, reference_segment_dp)
 from nestseg.segmentation import (Block, DensityMonotonicityError,
-                                  InfeasibleKError, build_group_sequence,
-                                  discover, pav_pool, score_sequence,
-                                  segment_dp)
+                                  InfeasibleKError, Segmenter, SegmentTable,
+                                  build_group_sequence, discover, pav_pool,
+                                  score_sequence, segment_dp)
 from nestseg.weighting import (WeightingScheme, apply_weighting,
                                personalized_pagerank)
 
@@ -195,6 +198,109 @@ def test_dp_matches_brute_force(seed, n, k):
         mu = sum(w * m for w, m in seg) / w_tot
         recomputed += sum(w * (m - mu) ** 2 for w, m in seg)
     assert recomputed == pytest.approx(ref_cost, abs=1e-9)
+
+
+def _random_blocks(rng: random.Random, n: int, kind: int) -> list[Block]:
+    """Strictly decreasing means of one of three kinds: evenly spaced with
+    equal weights (exact cost ties everywhere), dyadic with integer
+    weights, or random floats over a random scale."""
+    if kind == 0:
+        step, w = rng.choice([0.25, 1.0, 3.0]), rng.choice([0.5, 1.0, 2.0])
+        means = [(n - i) * step for i in range(n)]
+        weights = [w] * n
+    elif kind == 1:
+        means = sorted({rng.randint(0, 4 * n) / 4.0 for _ in range(n)}, reverse=True)
+        weights = [float(rng.randint(1, 6)) for _ in means]
+    else:
+        scale = 10.0 ** rng.uniform(-6, 6)
+        means = sorted({rng.random() * scale for _ in range(n)}, reverse=True)
+        weights = [rng.uniform(0.01, 10.0) for _ in means]
+    return _point_blocks(means, weights)
+
+
+def test_dp_bit_identical_to_full_scan_reference():
+    # divide and conquer visits only a window of predecessors per cell;
+    # with the same centred costs it must land on the same first minimum
+    rng = random.Random(2024)
+    for trial in range(150):
+        blocks = _random_blocks(rng, rng.randint(1, 400), kind=trial % 3)
+        k = rng.randint(1, min(12, len(blocks)))
+        assert segment_dp(blocks, k) == reference_segment_dp(blocks, k), trial
+
+
+def test_one_table_answers_every_k():
+    rng = random.Random(7)
+    for trial in range(30):
+        blocks = _random_blocks(rng, rng.randint(1, 200), kind=trial % 3)
+        top = min(12, len(blocks))
+        table = SegmentTable(blocks)
+        # grow to the top first, then ask the smaller k in a shuffled order
+        assert table.solve(top) == segment_dp(blocks, top)
+        ks = list(range(1, top + 1))
+        rng.shuffle(ks)
+        for k in ks:
+            assert table.solve(k) == segment_dp(blocks, k), (trial, k)
+        with pytest.raises(InfeasibleKError):
+            table.solve(len(blocks) + 1)
+
+
+def test_segmenter_matches_discover_at_every_k():
+    for seed in range(12):
+        g = dyadic_graph(seed, 14, connected=True)
+        order = sort_vertices(g, {0})
+        seg = Segmenter(g, order)
+        for k in (5, 1, 3, 2, 4):
+            try:
+                want = discover(g, order, k)
+            except InfeasibleKError:
+                with pytest.raises(InfeasibleKError):
+                    seg.discover(k)
+                continue
+            assert seg.discover(k) == want
+
+
+def test_dp_scales_to_fifty_thousand_blocks():
+    # the full scan would take hours here; budget in the style of
+    # criterion 11, far above the expected fraction of a second
+    rng = np.random.default_rng(50_000)
+    n, k = 50_000, 8
+    means = np.sort(rng.random(n) * 1e-3 + np.linspace(1.0, 0.0, n))[::-1]
+    weights = rng.integers(1, 1000, size=n).astype(float)
+    blocks = _point_blocks(means.tolist(), weights.tolist())
+    start = time.perf_counter()
+    cuts, cost = segment_dp(blocks, k)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"{elapsed:.2f}s"
+    assert len(cuts) == k + 1 and cuts[0] == 0 and cuts[-1] == n
+    assert all(a < b for a, b in zip(cuts, cuts[1:]))
+    equal = [round(i * n / k) for i in range(k + 1)]
+
+    def sse(cs):
+        total = 0.0
+        for a, b in zip(cs, cs[1:]):
+            w, m = weights[a:b], means[a:b]
+            total += float((w * (m - (w * m).sum() / w.sum()) ** 2).sum())
+        return total
+
+    assert cost == pytest.approx(sse(cuts), rel=1e-9)
+    assert cost <= sse(equal)
+
+
+def test_dp_exact_on_narrow_band():
+    # means 1e-4 apart by 1e-13..1e-10 with weights ~1e5: uncentred
+    # prefix sums cancel to noise and pick far-from-optimal cuts
+    rng = random.Random(104)
+    for trial in range(20):
+        spread = 10.0 ** rng.uniform(-13, -10)
+        means = sorted({1e-4 + rng.uniform(-spread, spread) for _ in range(60)},
+                       reverse=True)
+        weights = [rng.uniform(0.5e5, 2e5) for _ in means]
+        points = list(zip(weights, means))
+        k = rng.randint(2, 6)
+        cuts, _ = segment_dp(_point_blocks(means, weights), k)
+        _, best = exact_segmentation(points, k)
+        got = exact_segment_cost(points, cuts)
+        assert abs(got - best) <= 1e-9 * best, (trial, float(got / best))
 
 
 # ------------------------------------------------------------------ discover

@@ -141,6 +141,7 @@ def _run_full(cfg: RunConfig) -> tuple[Graph, CommunitySequence, dict]:
     g = load_edge_list_path(cfg.input_path)
     S = resolve_source(g, cfg.source)
     wg, pr = _weighted_graph(g, S, cfg)
+    del g  # free the unweighted CSR and labels before the peel
     order = _build_order(cfg.order_kind, wg, S, pr)
     seq = discover(wg, order, cfg.k)
 

@@ -8,6 +8,7 @@ tests and in the `verify` CLI subcommand.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -199,6 +200,46 @@ def reference_segment_dp(blocks: Sequence[Block], k: int
         cuts.append(int(back[ell, cuts[-1]]))
     cuts.reverse()
     return cuts, float(best[k, n])
+
+
+def reference_peel(g: Graph, S: VertexSet) -> list[int]:
+    """sort_vertices(g, S).sequence by a heap that is never compacted.
+
+    The same peel with plain lazy deletion: an entry is stale when its
+    vertex is gone or its weight is no longer the vertex's weighted
+    degree, and stale entries stay in the heap until popped.  Same
+    per-row sums and row-order decrements, so the weighted degrees, and
+    hence the order, are bit-identical to sort_vertices.
+    """
+    n = g.num_vertices
+    src = sorted(S)
+    in_source = bytearray(n)
+    for v in src:
+        in_source[v] = 1
+    ptr, nbrs, wts = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
+    wdeg = [0.0] * n
+    for v in range(n):
+        if not in_source[v]:
+            wdeg[v] = sum(wts[ptr[v]:ptr[v + 1]])
+    heap = [(wdeg[v], v) for v in range(n) if not in_source[v]]
+    heapq.heapify(heap)
+    present = bytearray([1]) * n
+    removed: list[int] = []
+    remaining = n - len(src)
+    while remaining:
+        d, x = heapq.heappop(heap)
+        if not present[x] or d != wdeg[x]:
+            continue  # stale entry
+        present[x] = 0
+        removed.append(x)
+        remaining -= 1
+        for j in range(ptr[x], ptr[x + 1]):
+            y = nbrs[j]
+            if present[y] and not in_source[y]:
+                wdeg[y] -= wts[j]
+                heapq.heappush(heap, (wdeg[y], y))
+    removed.reverse()
+    return src + removed
 
 
 def exact_segment_cost(points: Sequence[tuple[float, float]],

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 from nestseg.graph_core import Graph
 from nestseg.ordering import (VertexOrder, degree_order, densest_prefix,
                               hops_levels, pagerank_order, sort_vertices)
-from nestseg.weighting import personalized_pagerank
+from nestseg.oracle import reference_peel
+from nestseg.weighting import (WeightingScheme, apply_weighting,
+                               personalized_pagerank)
 
 from conftest import (dyadic_graph, k4_pendant, neighbor_weights, path_graph,
                       star_graph)
@@ -79,6 +83,40 @@ def test_peel_matches_naive_rescan(seed, n, s_size):
     S = set(range(min(s_size, n)))
     order = sort_vertices(g, S)
     assert order.sequence == _naive_peel(g, S)
+
+
+def _gnm(seed: int, n: int, m: int, weights) -> Graph:
+    """m distinct random edges over 0..n-1; weights(rng, m) gives their weights."""
+    rng = np.random.default_rng(seed)
+    codes = np.unique(np.sort(rng.integers(0, n, size=(2 * m, 2)), axis=1)
+                      @ np.array([n, 1]))
+    codes = rng.permutation(codes[codes // n != codes % n])[:m]
+    return Graph([str(v) for v in range(n)], codes // n, codes % n,
+                 weights(rng, m))
+
+
+def test_compacted_peel_matches_uncompacted_reference(monkeypatch):
+    # graphs large enough that the heap passes its 1024-entry floor and
+    # is rebuilt; every scheme's weights come from a real walk vector
+    heapify_calls = []
+    heapify = heapq.heapify
+    monkeypatch.setattr(heapq, "heapify",
+                        lambda h: (heapify_calls.append(len(h)), heapify(h)))
+    cases = []
+    for seed, S in ((1, set()), (2, {0}), (3, {5, 17, 400})):
+        g = _gnm(seed, 3000, 30000, lambda rng, m: np.ones(m))
+        pr = personalized_pagerank(g, S or {0})
+        cases.append((g, S))
+        cases += [(apply_weighting(g, pr, scheme), S) for scheme in WeightingScheme]
+    # exact ties: small integer weights
+    cases.append((_gnm(4, 3000, 30000, lambda rng, m: rng.integers(1, 4, m) * 1.0),
+                  {1}))
+    for g, S in cases:
+        del heapify_calls[:]
+        assert sort_vertices(g, S).sequence == reference_peel(g, S)
+        # one heapify each for the initial heaps of both peels, the rest
+        # are rebuilds of the compacted heap
+        assert len(heapify_calls) > 2
 
 
 def test_vertex_order_validation():

@@ -31,12 +31,11 @@ from .segmentation import (
     Block,
     CommunitySequence,
     DensityMonotonicityError,
-    GroupPoint,
     InfeasibleKError,
     SegmentTable,
     Segmenter,
-    build_group_sequence,
     discover,
+    group_arrays,
     pav_pool,
     score_sequence,
     segment_dp,
@@ -50,9 +49,8 @@ __all__ = [
     "VertexOrder", "degree_order", "densest_prefix", "hops_levels",
     "pagerank_order", "sort_vertices",
     "Block", "CommunitySequence", "DensityMonotonicityError",
-    "GroupPoint", "InfeasibleKError", "SegmentTable", "Segmenter",
-    "build_group_sequence", "discover", "pav_pool", "score_sequence",
-    "segment_dp",
+    "InfeasibleKError", "SegmentTable", "Segmenter", "discover",
+    "group_arrays", "pav_pool", "score_sequence", "segment_dp",
 ]
 
 __version__ = "0.1.0"

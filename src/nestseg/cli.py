@@ -15,17 +15,17 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .graph_core import Graph, GraphFormatError, load_edge_list_path
 from .ordering import (VertexOrder, degree_order, hops_levels, pagerank_order,
                        sort_vertices)
-from .segmentation import (Block, CommunitySequence, InfeasibleKError,
-                           Segmenter, build_group_sequence, discover,
-                           pav_pool, score_sequence, segment_dp)
+from .segmentation import (CommunitySequence, InfeasibleKError, Segmenter,
+                           discover, group_arrays, score_sequence)
 from .weighting import (PageRankVector, WeightingScheme, apply_weighting,
                         personalized_pagerank)
-from . import oracle
 
 MAX_DEGREE = "max-degree"
 ORDER_KINDS = ("peel", "degree", "pagerank", "hops")
@@ -47,44 +47,10 @@ class RunConfig:
     output_path: str | None = None
 
 
-@dataclass
-class ComparisonReport:
-    """Scores of the peel order against baseline orders.
-
-    scores[scheme][order][k] is the optimal-segmentation score of that
-    order; ratios normalize by the same order and scheme's k=1 score;
-    hops[scheme] holds the fixed breadth-first-level sequence's score
-    against the peel order at the same community count.
-    """
-    k_values: list[int]
-    schemes: list[str]
-    scores: dict = field(default_factory=dict)
-    ratios: dict = field(default_factory=dict)
-    wins: dict = field(default_factory=dict)
-    hops: dict = field(default_factory=dict)
-    cells: int = 0
-    wins_both: int = 0
-
-    @property
-    def win_rate(self) -> float:
-        return self.wins_both / self.cells if self.cells else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "k_values": self.k_values,
-            "schemes": self.schemes,
-            "scores": self.scores,
-            "ratios": self.ratios,
-            "wins": self.wins,
-            "hops": self.hops,
-            "cells": self.cells,
-            "wins_both": self.wins_both,
-            "win_rate": self.win_rate,
-        }
-
-
 def resolve_source(g: Graph, source: list[str] | None) -> set[int]:
     """Map configured source labels to ids; default to the heaviest vertex."""
+    if g.num_vertices == 0:
+        raise ValueError("graph has no vertices")
     if source is None or source == [MAX_DEGREE]:
         best = max(range(g.num_vertices),
                    key=lambda v: (g.weighted_degree(v), -v))
@@ -132,8 +98,13 @@ def _weighted_graph(g: Graph, S: set[int], cfg: RunConfig
     return wg, pr
 
 
-def _run_full(cfg: RunConfig) -> tuple[Graph, CommunitySequence, dict]:
-    """run_pipeline plus the re-weighted graph the sequence lives on."""
+def run_pipeline(cfg: RunConfig) -> tuple[Graph, CommunitySequence, dict]:
+    """Load, weight, order, segment; return the re-weighted graph the
+    sequence lives on, the sequence and its JSON report.
+
+    The report's total_score is re-validated against direct scoring of
+    the breakpoints before being returned.
+    """
     if cfg.k < 1:
         raise ValueError(f"k must be >= 1, got {cfg.k}")
     if cfg.order_kind not in ORDER_KINDS:
@@ -168,14 +139,10 @@ def _run_full(cfg: RunConfig) -> tuple[Graph, CommunitySequence, dict]:
     return wg, seq, report
 
 
-def run_pipeline(cfg: RunConfig) -> tuple[CommunitySequence, dict]:
-    """Load, weight, order, segment; return the sequence and its JSON report.
-
-    The report's total_score is re-validated against direct scoring of
-    the breakpoints before being returned.
-    """
-    _, seq, report = _run_full(cfg)
-    return seq, report
+def _segment_ids(seq: CommunitySequence) -> list[int]:
+    """Segment (1..k) of each order position; 0 for the source prefix."""
+    positions = np.arange(len(seq.order.sequence))
+    return np.searchsorted(seq.breakpoints, positions, side="right").tolist()
 
 
 def export_dot(g: Graph, seq: CommunitySequence) -> str:
@@ -190,18 +157,10 @@ def export_dot(g: Graph, seq: CommunitySequence) -> str:
                "#dadaeb", "#636363"]
     order = seq.order
     s = order.source_size
-    bps = seq.breakpoints
-    color_of: dict[int, int] = {}
-    for pos, v in enumerate(order.sequence):
-        if pos < s:
-            color_of[v] = 0
-        else:
-            # first breakpoint strictly beyond this position
-            j = next(i for i in range(1, len(bps)) if pos < bps[i])
-            color_of[v] = j
+    segment = _segment_ids(seq)
     lines = ["graph communities {", "  node [style=filled];"]
     for pos, v in enumerate(order.sequence):
-        color = palette[color_of[v] % len(palette)]
+        color = palette[segment[pos] % len(palette)]
         extra = ", peripheries=2" if pos < s else ""
         lines.append(f'  "{g.labels[v]}" [fillcolor="{color}"{extra}];')
     pos_of = order.positions()
@@ -218,18 +177,18 @@ def export_dot(g: Graph, seq: CommunitySequence) -> str:
 
 def export_tsv(g: Graph, seq: CommunitySequence) -> str:
     """Tab-separated group-point sequence for external plotting."""
-    points = build_group_sequence(g, seq.order)
-    bps = seq.breakpoints
+    a, x, internal, _ = group_arrays(g, seq.order)
+    order = seq.order
+    segment = _segment_ids(seq)
     rows = ["position\tvertex\tpair_count\tdensity\tinternal_sse\tsegment"]
-    for i, p in enumerate(points):
-        pos = seq.order.source_size + i
-        segment = next(j for j in range(1, len(bps)) if pos < bps[j])
-        rows.append(f"{pos + 1}\t{g.labels[p.vertex]}\t{p.pair_count}"
-                    f"\t{p.density!r}\t{p.internal_sse!r}\t{segment}")
+    for pos, (count, density, sse) in enumerate(
+            zip(a.tolist(), x.tolist(), internal.tolist()), start=order.source_size):
+        rows.append(f"{pos + 1}\t{g.labels[order.sequence[pos]]}\t{count}"
+                    f"\t{density!r}\t{sse!r}\t{segment[pos]}")
     return "\n".join(rows) + "\n"
 
 
-def compare_baselines(cfg: RunConfig, k_range: range) -> ComparisonReport:
+def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
     """Score the peel order against degree and walk-score orders.
 
     For every scheme and k, each order is segmented optimally on the
@@ -239,20 +198,23 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> ComparisonReport:
     once per scheme at its own community count.  Infeasible cells (k
     exceeding an order's block count) score infinity.  Each (scheme,
     order) is pooled once and its one DP table answers every k.
+
+    Returns the JSON report: scores[scheme][order][k], ratios alike,
+    wins[scheme][k], hops[scheme] (the hop sequence's score and the
+    peel score at its k), the cell and win counts and the win rate.
     """
     g = load_edge_list_path(cfg.input_path)
     S = resolve_source(g, cfg.source)
     pr = personalized_pagerank(g, S, restart=cfg.restart,
                                use_edge_weights=cfg.weighted_walk, tol=cfg.tol)
-    report = ComparisonReport(k_values=list(k_range),
-                              schemes=[s.value for s in COMPARE_SCHEMES])
+    report = {"k_values": list(k_range),
+              "schemes": [s.value for s in COMPARE_SCHEMES],
+              "scores": {}, "ratios": {}, "wins": {}, "hops": {},
+              "cells": 0, "wins_both": 0}
     for scheme in COMPARE_SCHEMES:
         wg = apply_weighting(g, pr, scheme)
-        orders = {
-            "peel": sort_vertices(wg, S),
-            "degree": degree_order(wg, S),
-            "pagerank": pagerank_order(wg, S, pr),
-        }
+        orders = {name: _build_order(name, wg, S, pr)
+                  for name in ("peel", "degree", "pagerank")}
         scores: dict[str, dict[str, float]] = {name: {} for name in orders}
         ratios: dict[str, dict[str, float | None]] = {name: {} for name in orders}
         wins: dict[str, bool] = {}
@@ -272,11 +234,11 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> ComparisonReport:
                                         else None)
             win = cell["peel"] <= cell["degree"] and cell["peel"] <= cell["pagerank"]
             wins[str(k)] = bool(win)
-            report.cells += 1
-            report.wins_both += int(win)
-        report.scores[scheme.value] = scores
-        report.ratios[scheme.value] = ratios
-        report.wins[scheme.value] = wins
+            report["cells"] += 1
+            report["wins_both"] += int(win)
+        report["scores"][scheme.value] = scores
+        report["ratios"][scheme.value] = ratios
+        report["wins"][scheme.value] = wins
 
         hops_order, bps = _hops_order(wg, S)
         if len(bps) > 1:
@@ -286,17 +248,19 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> ComparisonReport:
                 peel_at = segmenters["peel"].discover(k_hops).total_score
             except InfeasibleKError:
                 peel_at = math.inf
-            report.hops[scheme.value] = {
+            report["hops"][scheme.value] = {
                 "k": k_hops,
                 "hops_score": hops_score,
                 "peel_score": peel_at,
             }
+    cells = report["cells"]
+    report["win_rate"] = report["wins_both"] / cells if cells else 0.0
     return report
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    wg, seq, report = _run_full(cfg)
+    wg, seq, report = run_pipeline(cfg)
     if cfg.output_format == "json":
         text = json.dumps(report, indent=2) + "\n"
     elif cfg.output_format == "dot":
@@ -314,7 +278,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.k_min < 1 or args.k_max < args.k_min:
         raise ValueError(f"bad k range {args.k_min}..{args.k_max}")
     report = compare_baselines(cfg, range(args.k_min, args.k_max + 1))
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", cfg.output_path)
+    _emit(json.dumps(report, indent=2) + "\n", cfg.output_path)
     return 0
 
 
@@ -324,67 +288,13 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    props = args.props.split(",") if args.props else ["density", "left", "right", "pav", "dp"]
-    rng = random.Random(args.seed)
-    trials = args.trials
+    from . import oracle  # test-scale machinery: load it only to verify
+    props = args.props.split(",") if args.props else oracle.VERIFY_PROPS
     failed = False
-    for prop in props:
-        if prop == "density":
-            viol = inst = 0
-            for _ in range(trials):
-                g = oracle.random_graph(rng, rng.randint(4, 7), 0.5, weighted=True)
-                rep = oracle.check_prop_density(g, {rng.randrange(g.num_vertices)}, 2)
-                if rep["feasible"]:
-                    inst += 1
-                    viol += rep["violations"]
-            line = f"{inst} feasible instances, {viol} violations"
-            bad = viol > 0
-        elif prop in ("left", "right"):
-            viol = inst = 0
-            for _ in range(trials):
-                g = oracle.random_graph(rng, rng.randint(4, 10), 0.5, weighted=True)
-                order = sort_vertices(g, set())
-                if prop == "left":
-                    rep = oracle.check_peel_lower_bound(g, order)
-                else:
-                    rep = oracle.check_peel_upper_bound(g, order)
-                inst += 1
-                viol += rep["violations"]
-            line = f"{inst} graphs, {viol} violations"
-            bad = viol > 0
-        elif prop == "pav":
-            viol = 0
-            for _ in range(trials):
-                pts = [(rng.randint(1, 6), rng.randint(0, 16) / 4.0)
-                       for _ in range(rng.randint(1, 10))]
-                blocks = pav_pool(pts)
-                sse = sum(b.sse for b in blocks)
-                _, ref = oracle.brute_force_antitonic_fit(pts)
-                if abs(sse - ref) > 1e-9:
-                    viol += 1
-            line = f"{trials} sequences, {viol} mismatches"
-            bad = viol > 0
-        elif prop == "dp":
-            viol = 0
-            for _ in range(trials):
-                n = rng.randint(1, 10)
-                means = sorted({rng.randint(0, 40) / 4.0 for _ in range(n)},
-                               reverse=True)
-                blocks = [Block(i, i + 1, rng.randint(1, 5), m, 0.0)
-                          for i, m in enumerate(means)]
-                k = rng.randint(1, min(4, len(blocks)))
-                _, cost = segment_dp(blocks, k)
-                _, ref = oracle.brute_force_segmentation(
-                    [(b.weight, b.mean) for b in blocks], k)
-                if abs(cost - ref) > 1e-9:
-                    viol += 1
-            line = f"{trials} sequences, {viol} mismatches"
-            bad = viol > 0
-        else:
-            raise ValueError(f"unknown property {prop!r}")
-        status = "FAIL" if bad else "OK"
-        print(f"prop {prop}: {status} ({line})")
-        failed = failed or bad
+    for prop, passed, summary in oracle.run_checks(random.Random(args.seed),
+                                                   args.trials, props):
+        print(f"prop {prop}: {'OK' if passed else 'FAIL'} ({summary})")
+        failed = failed or not passed
     return 1 if failed else 0
 
 

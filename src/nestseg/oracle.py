@@ -14,14 +14,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .graph_core import Graph, VertexSet
-from .ordering import VertexOrder
+from .ordering import VertexOrder, sort_vertices
 from .segmentation import (Block, InfeasibleKError, _centred_prefix_sums,
-                           _span_cost)
+                           _span_cost, pav_pool, segment_dp)
 
 
 def random_graph(rng: random.Random, n: int, edge_prob: float,
@@ -453,9 +453,7 @@ def check_prop_density(g: Graph, S: VertexSet, k: int,
             "violations": len(violations), "examples": violations[:5]}
 
 
-def brute_force_densest_subgraph(g: Graph,
-                                 budget: OracleBudget = DEFAULT_BUDGET
-                                 ) -> tuple[frozenset[int], float]:
+def brute_force_densest_subgraph(g: Graph) -> tuple[frozenset[int], float]:
     """Exhaustive maximizer of induced weight / vertex count."""
     n = g.num_vertices
     _require(n <= 10, f"{n} vertices > 10")
@@ -464,42 +462,6 @@ def brute_force_densest_subgraph(g: Graph,
         sub = {v for v in range(n) if mask >> v & 1}
         d = avg_degree_density(g, sub)
         if d > best:
-            best, best_mask = d, mask
-    return frozenset(v for v in range(n) if best_mask >> v & 1), best
-
-
-def brute_force_dense_superset(g: Graph, S: VertexSet,
-                               budget: OracleBudget = DEFAULT_BUDGET
-                               ) -> tuple[frozenset[int], float]:
-    """Exhaustive maximizer of d(T, S | T) over nonempty T."""
-    n = g.num_vertices
-    _require(n <= 10, f"{n} vertices > 10")
-    best_mask, best = 0, -math.inf
-    for mask in range(1, 1 << n):
-        T = {v for v in range(n) if mask >> v & 1}
-        union = set(S) | T
-        if cross_pair_count(T, union) == 0:
-            continue  # single shared vertex: no pair slots
-        d = cross_density(g, T, union)
-        if d > best:
-            best, best_mask = d, mask
-    return frozenset(v for v in range(n) if best_mask >> v & 1), best
-
-
-def brute_force_sparse_nbhd(g: Graph,
-                            budget: OracleBudget = DEFAULT_BUDGET
-                            ) -> tuple[frozenset[int], float]:
-    """Exhaustive minimizer of d(T, V) over nonempty T."""
-    n = g.num_vertices
-    _require(n <= 10, f"{n} vertices > 10")
-    V = set(range(n))
-    best_mask, best = 0, math.inf
-    for mask in range(1, 1 << n):
-        T = {v for v in range(n) if mask >> v & 1}
-        if cross_pair_count(T, V) == 0:
-            continue
-        d = cross_density(g, T, V)
-        if d < best:
             best, best_mask = d, mask
     return frozenset(v for v in range(n) if best_mask >> v & 1), best
 
@@ -695,3 +657,65 @@ def sample_peel_bounds(g: Graph, order: VertexOrder, rng,
             upper_viol += 1
     return {"samples": samples, "skipped": skipped,
             "lower_violations": lower_viol, "upper_violations": upper_viol}
+
+
+VERIFY_PROPS = ("density", "left", "right", "pav", "dp")
+
+
+def run_checks(rng: random.Random, trials: int, props: Sequence[str]
+               ) -> Iterator[tuple[str, bool, str]]:
+    """Randomized self-checks of the fast algorithms against the oracles.
+
+    For each property in turn, draws `trials` random instances from rng
+    and yields (prop, passed, summary), passed meaning no violation or
+    mismatch.  density: the optimum's attach/remove density property;
+    left, right: the peel order's lower and stretch-factor upper bounds;
+    pav: pooling against the exhaustive antitonic fit; dp: segment_dp
+    against exhaustive segmentation.  Raises ValueError on reaching an
+    unknown property.
+    """
+    for prop in props:
+        if prop == "density":
+            viol = inst = 0
+            for _ in range(trials):
+                g = random_graph(rng, rng.randint(4, 7), 0.5, weighted=True)
+                rep = check_prop_density(g, {rng.randrange(g.num_vertices)}, 2)
+                if rep["feasible"]:
+                    inst += 1
+                    viol += rep["violations"]
+            summary = f"{inst} feasible instances, {viol} violations"
+        elif prop in ("left", "right"):
+            viol = 0
+            check = check_peel_lower_bound if prop == "left" else check_peel_upper_bound
+            for _ in range(trials):
+                g = random_graph(rng, rng.randint(4, 10), 0.5, weighted=True)
+                viol += check(g, sort_vertices(g, set()))["violations"]
+            summary = f"{trials} graphs, {viol} violations"
+        elif prop == "pav":
+            viol = 0
+            for _ in range(trials):
+                pts = [(rng.randint(1, 6), rng.randint(0, 16) / 4.0)
+                       for _ in range(rng.randint(1, 10))]
+                sse = sum(b.sse for b in pav_pool(pts))
+                _, ref = brute_force_antitonic_fit(pts)
+                if abs(sse - ref) > 1e-9:
+                    viol += 1
+            summary = f"{trials} sequences, {viol} mismatches"
+        elif prop == "dp":
+            viol = 0
+            for _ in range(trials):
+                n = rng.randint(1, 10)
+                means = sorted({rng.randint(0, 40) / 4.0 for _ in range(n)},
+                               reverse=True)
+                blocks = [Block(i, i + 1, rng.randint(1, 5), m, 0.0)
+                          for i, m in enumerate(means)]
+                k = rng.randint(1, min(4, len(blocks)))
+                _, cost = segment_dp(blocks, k)
+                _, ref = brute_force_segmentation(
+                    [(b.weight, b.mean) for b in blocks], k)
+                if abs(cost - ref) > 1e-9:
+                    viol += 1
+            summary = f"{trials} sequences, {viol} mismatches"
+        else:
+            raise ValueError(f"unknown property {prop!r}")
+        yield prop, viol == 0, summary

@@ -52,15 +52,6 @@ class DensityMonotonicityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GroupPoint:
-    """Per-vertex summary of the slots back to all earlier vertices."""
-    vertex: int
-    pair_count: int
-    density: float
-    internal_sse: float
-
-
-@dataclass(frozen=True)
 class Block:
     """A pooled run of group points; span is half-open [start, end)."""
     start: int
@@ -93,14 +84,21 @@ class CommunitySequence:
         return list(self.order.sequence[self.breakpoints[j - 1]:self.breakpoints[j]])
 
 
-def _group_arrays(g: Graph, order: VertexOrder):
-    """Vectorized slot statistics per order position past the source.
+def group_arrays(g: Graph, order: VertexOrder
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """One weighted point per vertex after the source prefix, as arrays.
 
-    Returns (a, x, internal, source_w): arrays indexed by position - s,
-    where a[i] is the slot count, x[i] the mean slot weight and
-    internal[i] the within-group SSE, and the total weight of the edges
-    inside the source prefix.  Requires source_size >= 1.
+    Returns (a, x, internal, source_w); the arrays hold one entry per
+    order position past the source.  For the vertex at (1-based)
+    position i > |S|: a = i - 1, the pair slots back to earlier
+    vertices; x = their total edge weight / (i - 1); internal = the sum
+    over those slots of (slot weight - x) squared, missing edges
+    counting as zero-weight slots.  source_w is the total weight of the
+    edges inside the source prefix.  Raises ValueError if the source
+    prefix is empty.
     """
+    if order.source_size < 1:
+        raise ValueError("order must carry a non-empty source prefix")
     n = g.num_vertices
     s = order.source_size
     later, ws = _later_positions(g, order)
@@ -125,24 +123,6 @@ def _later_positions(g: Graph, order: VertexOrder) -> tuple[np.ndarray, np.ndarr
     pos[np.asarray(order.sequence, dtype=np.int64)] = np.arange(g.num_vertices)
     us, vs, ws = g.edge_arrays()
     return np.maximum(pos[us], pos[vs]), ws
-
-
-def build_group_sequence(g: Graph, order: VertexOrder) -> list[GroupPoint]:
-    """One weighted point per vertex after the source prefix.
-
-    For the vertex at (1-based) position i > |S|: pair_count = i - 1,
-    density = total edge weight back to earlier vertices / (i - 1), and
-    internal_sse = sum over those i - 1 slots of (slot weight - density)
-    squared, missing edges counting as zero-weight slots.
-    """
-    if order.source_size < 1:
-        raise ValueError("order must carry a non-empty source prefix")
-    a, x, internal, _ = _group_arrays(g, order)
-    seq = order.sequence
-    s = order.source_size
-    return [GroupPoint(vertex=seq[s + i], pair_count=int(a[i]),
-                       density=float(x[i]), internal_sse=float(internal[i]))
-            for i in range(len(a))]
 
 
 def pav_pool(points: Iterable[tuple[float, float]]) -> list[Block]:
@@ -311,12 +291,9 @@ class Segmenter:
     """
 
     def __init__(self, g: Graph, order: VertexOrder):
-        s = order.source_size
-        if s < 1:
-            raise ValueError("order must carry a non-empty source prefix")
-        if g.num_vertices - s < 1:
+        if g.num_vertices - order.source_size < 1:
             raise ValueError("source covers every vertex; nothing to segment")
-        a, x, internal, self._source_w = _group_arrays(g, order)
+        a, x, internal, self._source_w = group_arrays(g, order)
         self.order = order
         self.blocks = pav_pool(zip(a.tolist(), x.tolist()))
         self._block_w = np.array([b.weight for b in self.blocks])

@@ -22,9 +22,8 @@ from nestseg.oracle import (brute_force_antitonic_fit,
                             brute_force_segmentation, check_peel_lower_bound,
                             check_peel_upper_bound, check_prop_density,
                             induced_density, random_graph, sample_peel_bounds)
-from nestseg.segmentation import (InfeasibleKError, build_group_sequence,
-                                  discover, pav_pool, score_sequence,
-                                  segment_dp, Block)
+from nestseg.segmentation import (InfeasibleKError, discover, group_arrays,
+                                  pav_pool, score_sequence, segment_dp, Block)
 from nestseg.weighting import (WeightingScheme, apply_weighting,
                                personalized_pagerank)
 
@@ -117,13 +116,14 @@ def test_criterion_03_graph_score_equals_point_space_score():
         bps = [s] + interior + [n]
         total, _, _ = score_sequence(g, order, bps)
 
-        pts = build_group_sequence(g, order)
-        alt = sum(p.internal_sse for p in pts)
+        counts, dens, internal, _ = group_arrays(g, order)
+        pts = list(zip(counts.tolist(), dens.tolist()))
+        alt = sum(internal.tolist())
         for a, b in zip(bps, bps[1:]):
             span = pts[a - s:b - s]
-            w_tot = sum(p.pair_count for p in span)
-            mu = sum(p.pair_count * p.density for p in span) / w_tot
-            alt += sum(p.pair_count * (p.density - mu) ** 2 for p in span)
+            w_tot = sum(c for c, _ in span)
+            mu = sum(c * d for c, d in span) / w_tot
+            alt += sum(c * (d - mu) ** 2 for c, d in span)
         err = abs(total - alt) / max(1.0, abs(total), abs(alt))
         worst_rel = max(worst_rel, err)
         checked += 1
@@ -389,8 +389,8 @@ def test_criterion_11_scales_to_a_million_edges():
     pr = personalized_pagerank(g, {source})
     wg = apply_weighting(g, pr, WeightingScheme.SUM)
     order = sort_vertices(wg, {source})
-    pts = build_group_sequence(wg, order)
-    blocks = pav_pool([(p.pair_count, p.density) for p in pts])
+    counts, dens, _, _ = group_arrays(wg, order)
+    blocks = pav_pool(zip(counts.tolist(), dens.tolist()))
     seq = discover(wg, order, 5)
     elapsed = time.perf_counter() - start
 

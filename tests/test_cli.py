@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 import nestseg
-from nestseg.cli import (ComparisonReport, RunConfig, compare_baselines,
-                         export_dot, export_tsv, main, resolve_source,
+from nestseg.cli import (RunConfig, compare_baselines, main, resolve_source,
                          run_pipeline)
 from nestseg.graph_core import load_edge_list_path
 from nestseg.weighting import WeightingScheme
@@ -173,13 +172,14 @@ def test_compare_report_structure(capsys):
 def test_compare_ratios_normalized_by_single_community_score():
     cfg = RunConfig(input_path=KARATE_PATH, k=1, scheme=WeightingScheme.SUM)
     report = compare_baselines(cfg, range(2, 4))
-    for scheme in report.ratios:
-        for ratios in report.ratios[scheme].values():
+    for scheme in report["ratios"]:
+        for ratios in report["ratios"][scheme].values():
             for ratio in ratios.values():
                 if ratio is not None:
                     assert ratio > 0
-    as_dict = report.to_dict()
-    assert as_dict["cells"] == report.cells
+    assert list(report) == ["k_values", "schemes", "scores", "ratios", "wins",
+                            "hops", "cells", "wins_both", "win_rate"]
+    assert report["cells"] == 6
 
 
 # ------------------------------------------------------------------- verify
@@ -204,6 +204,14 @@ def test_verify_unknown_property(capsys):
     code, _, err = run_cli(capsys, "verify", "--props", "bogus")
     assert code == 1
     assert "unknown property" in err
+
+
+def test_verify_reports_known_properties_before_an_unknown_one(capsys):
+    code, out, err = run_cli(capsys, "verify", "--props", "pav,bogus",
+                             "--seed", "0", "--trials", "5")
+    assert code == 1
+    assert out == "prop pav: OK (5 sequences, 0 mismatches)\n"
+    assert err == "error: unknown property 'bogus'\n"
 
 
 # --------------------------------------------------------------- exit codes
@@ -246,6 +254,16 @@ def test_complete_graph_ties_exit_two_not_crash(tmp_path, capsys):
     assert "max feasible k=1" in err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_empty_edge_list_exits_one(tmp_path, capsys, command):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no edges\n\n")
+    code, out, err = run_cli(capsys, command, "--input", str(empty))
+    assert code == 1
+    assert out == ""
+    assert err == "error: graph has no vertices\n"
+
+
 def test_zero_k_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "--input", KARATE_PATH, "-k", "0")
     assert code == 1
@@ -272,6 +290,15 @@ def test_python_dash_m_runs_without_warnings(module):
     assert "Warning" not in proc.stderr
 
 
+def test_cli_import_does_not_load_the_oracle():
+    env = dict(os.environ, PYTHONPATH=str(Path(nestseg.__file__).parent.parent))
+    code = "import sys, nestseg.cli; print('nestseg.oracle' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 # ------------------------------------------------------------------ library
 
 def test_resolve_source_default_picks_heaviest():
@@ -286,7 +313,8 @@ def test_resolve_source_default_picks_heaviest():
 
 def test_run_pipeline_reports_match_sequence():
     cfg = RunConfig(input_path=KARATE_PATH, k=3, scheme=WeightingScheme.SUM)
-    seq, report = run_pipeline(cfg)
+    wg, seq, report = run_pipeline(cfg)
+    assert wg.num_vertices == len(seq.order.sequence) == 34
     assert report["breakpoints"] == list(seq.breakpoints)
     assert report["total_score"] == seq.total_score
     assert [c["segment_centroid"] for c in report["communities"]] == \

@@ -12,10 +12,8 @@ from nestseg.graph_core import Graph
 from nestseg.ordering import sort_vertices
 from nestseg.oracle import (DEFAULT_BUDGET, OracleBudget,
                             brute_force_antitonic_fit,
-                            brute_force_dense_superset,
                             brute_force_densest_subgraph, brute_force_nested,
-                            brute_force_segmentation,
-                            brute_force_sparse_nbhd, check_peel_lower_bound,
+                            brute_force_segmentation, check_peel_lower_bound,
                             check_peel_upper_bound, check_prop_density,
                             exact_segment_cost, exact_segmentation,
                             induced_density, random_graph,
@@ -126,22 +124,6 @@ def test_densest_subgraph_triangle():
     best, density = brute_force_densest_subgraph(triangle_graph())
     assert best == frozenset({0, 1, 2})
     assert density == pytest.approx(1.0)
-
-
-def test_dense_superset_hand_case():
-    g = k4_pendant()
-    best, density = brute_force_dense_superset(g, {4})
-    # densest attachment to the pendant vertex: a single clique member
-    # adjacent to it gives one unit edge over one slot
-    assert density == pytest.approx(1.0)
-    assert best == frozenset({0})
-
-
-def test_sparse_nbhd_small_graph_runs():
-    g = dyadic_graph(2, 8, connected=True)
-    best, density = brute_force_sparse_nbhd(g)
-    assert best
-    assert density >= 0
 
 
 def test_prop_density_report_structure():

@@ -19,7 +19,7 @@ from nestseg.oracle import (brute_force_antitonic_fit,
                             random_graph, reference_segment_dp)
 from nestseg.segmentation import (Block, DensityMonotonicityError,
                                   InfeasibleKError, Segmenter, SegmentTable,
-                                  build_group_sequence, discover, pav_pool,
+                                  discover, group_arrays, pav_pool,
                                   score_sequence, segment_dp)
 from nestseg.weighting import (WeightingScheme, apply_weighting,
                                personalized_pagerank)
@@ -32,37 +32,36 @@ from conftest import dyadic_graph, neighbor_weights, path_graph
 def test_group_points_on_path():
     g = path_graph(4)
     order = sort_vertices(g, {0})
-    pts = build_group_sequence(g, order)
-    assert [(p.pair_count, p.density) for p in pts] == [
+    a, x, internal, source_w = group_arrays(g, order)
+    assert list(zip(a.tolist(), x.tolist())) == [
         (1, 1.0), (2, 0.5), (3, pytest.approx(1 / 3))]
-    assert pts[0].internal_sse == pytest.approx(0.0)
-    assert pts[1].internal_sse == pytest.approx(0.5)
-    assert pts[2].internal_sse == pytest.approx(2 / 3)
-    assert [p.vertex for p in pts] == [1, 2, 3]
+    assert internal.tolist() == pytest.approx([0.0, 0.5, 2 / 3])
+    assert order.sequence[1:] == [1, 2, 3]
+    assert source_w == 0.0
 
 
 def test_group_point_pair_count_grows_with_position():
     g = dyadic_graph(11, 8, connected=True)
     order = sort_vertices(g, {0})
-    pts = build_group_sequence(g, order)
-    assert [p.pair_count for p in pts] == list(range(1, 8))
+    a, _, _, _ = group_arrays(g, order)
+    assert a.tolist() == list(range(1, 8))
 
 
 def test_group_density_is_weight_over_predecessor_count():
     g = Graph.from_edges(["a", "b", "c"], [(0, 1, 3.0), (0, 2, 1.0), (1, 2, 2.0)])
     order = VertexOrder(sequence=[0, 1, 2], source_size=1)
-    pts = build_group_sequence(g, order)
-    assert pts[0].density == pytest.approx(3.0)       # b: edge to a over 1
-    assert pts[1].density == pytest.approx(1.5)       # c: 1 + 2 over 2
+    _, x, internal, _ = group_arrays(g, order)
+    assert x[0] == pytest.approx(3.0)       # b: edge to a over 1
+    assert x[1] == pytest.approx(1.5)       # c: 1 + 2 over 2
     # deviation of c's two edge slots (1.0, 2.0) around 1.5
-    assert pts[1].internal_sse == pytest.approx(0.5)
+    assert internal[1] == pytest.approx(0.5)
 
 
 def test_group_sequence_requires_nonempty_prefix():
     g = path_graph(3)
     order = VertexOrder(sequence=[0, 1, 2], source_size=0)
     with pytest.raises(ValueError):
-        build_group_sequence(g, order)
+        group_arrays(g, order)
 
 
 # ------------------------------------------------------------------ pooling

@@ -52,8 +52,8 @@ def resolve_source(g: Graph, source: list[str] | None) -> set[int]:
     if g.num_vertices == 0:
         raise ValueError("graph has no vertices")
     if source is None or source == [MAX_DEGREE]:
-        best = max(range(g.num_vertices),
-                   key=lambda v: (g.weighted_degree(v), -v))
+        wdeg = g.weighted_degrees()
+        best = max(range(g.num_vertices), key=lambda v: (wdeg[v], -v))
         return {best}
     ids = set()
     for label in source:

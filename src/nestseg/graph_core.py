@@ -56,7 +56,10 @@ class Graph:
         _check_edges(self.labels, a, b, w)
 
         src = np.column_stack((a, b)).reshape(-1)
-        rows = np.argsort(src, kind="stable")
+        # the stable order by row: the keys are distinct, so numpy's default
+        # sort, about twice as fast as its stable one here, gives it (and
+        # they are exact while n * 2m < 2**63)
+        rows = np.argsort(src * len(src) + np.arange(len(src)))
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
         self.indices = np.column_stack((b, a)).reshape(-1)[rows]
@@ -87,7 +90,12 @@ class Graph:
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def weighted_degree(self, v: int) -> float:
-        return math.fsum(self.weights[self.indptr[v]:self.indptr[v + 1]].tolist())
+        return math.fsum(memoryview(self.weights)[self.indptr[v]:self.indptr[v + 1]])
+
+    def weighted_degrees(self) -> list[float]:
+        """weighted_degree(v) of every vertex v, in id order."""
+        ptr, wts = self.indptr.tolist(), memoryview(self.weights)
+        return [math.fsum(wts[a:b]) for a, b in zip(ptr, ptr[1:])]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return the (u, v, w) edge arrays, u < v, in row order."""
@@ -194,5 +202,100 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
 
 
 def load_edge_list_path(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as f:
-        return load_edge_list(f)
+    """``load_edge_list`` on the UTF-8 file at ``path``: the same Graph,
+    or the same error.
+
+    A regular file (see ``_parse_regular``) is parsed in one pass over
+    its bytes with numpy; any other file goes through ``load_edge_list``
+    line by line, which is also the source of every parse-error message.
+    """
+    with open(path, "rb") as f:
+        parsed = _parse_regular(f.read())
+    if parsed is None:
+        with open(path, "r", encoding="utf-8") as f:
+            return load_edge_list(f)
+    labels, ids, weights = parsed
+    try:
+        return Graph(labels, ids[0::2], ids[1::2], weights)
+    except GraphFormatError as exc:
+        # no line is skipped, so edge i sits on line i + 1
+        raise GraphFormatError(f"line {exc.edge + 1}: {exc.reason}") from None
+
+
+# Bytes of a regular edge-list file: printable ASCII except '#', tab and
+# newline.  Outside it, splitting on _BLANK would disagree with str.split
+# (which also splits on \x0b, \x0c, \x1c-\x1f, \r and Unicode blanks),
+# text mode ends lines at a lone \r, and fixed-width numpy byte strings
+# drop trailing NULs.
+_REGULAR_BYTES = bytes(b for b in range(0x20, 0x7f) if b != ord("#")) + b"\t\n"
+_BLANK = np.zeros(256, dtype=bool)
+_BLANK[[ord("\t"), ord("\n"), ord(" ")]] = True
+
+
+def _parse_regular(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """(labels, ids, weights) of a regular edge-list file, or None.
+
+    Regular: only ``_REGULAR_BYTES``, and every line, the last one with
+    or without its newline, holds the same 2 or 3 blank-separated
+    tokens, with a weight that numpy's bytes-to-float cast accepts.
+    Labels are numbered in first-appearance order and ``ids`` lists
+    each edge's two ids in file order, as ``load_edge_list`` does.
+    """
+    if not data or data.translate(None, _REGULAR_BYTES):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    blank = _BLANK[buf]
+    # token t spans bytes bounds[2t]:bounds[2t + 1]
+    bounds = np.flatnonzero(blank[:-1] != blank[1:]) + 1
+    if not blank[0]:
+        bounds = np.concatenate(([0], bounds))
+    if not blank[-1]:
+        bounds = np.append(bounds, len(data))
+    del blank
+    starts, sizes = bounds[0::2], bounds[1::2] - bounds[0::2]
+    ends = np.flatnonzero(buf == ord("\n"))  # line ends
+    if data[-1] != ord("\n"):
+        ends = np.append(ends, len(data))
+    cols = int(np.searchsorted(starts, ends[0]))
+    # the number of tokens before the end of line i must be cols * (i + 1)
+    if cols not in (2, 3) or not np.array_equal(
+            np.searchsorted(starts, ends), np.arange(1, len(ends) + 1) * cols):
+        return None
+    del ends
+
+    # row t holds token t, NUL-padded to at least 8 bytes, gathered column
+    # by column (bytes.split would make a Python object of every token)
+    longest = int(sizes.max())
+    width = max(8, longest)
+    tokens = np.zeros((len(starts), width), dtype=np.uint8)
+    for j in range(longest):
+        has = np.flatnonzero(sizes > j)
+        tokens[has, j] = buf[starts[has] + j]
+    del buf, bounds, starts, sizes
+    tokens = tokens.view(f"S{width}").reshape(-1, cols)
+    if cols == 2:
+        weights = np.ones(len(tokens))
+    else:
+        try:
+            weights = tokens[:, 2].astype(np.float64)
+        except ValueError:
+            return None
+    keys = tokens[:, :2].reshape(-1)
+    del tokens
+    if width == 8:  # distinct labels give distinct NUL-padded words
+        keys = keys.view(np.uint64)
+    # np.unique(return_index=True) would sort stably, which takes twice as
+    # long; a label's first appearance is the least of its positions
+    perm = np.argsort(keys)
+    keys = keys[perm]
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    groups = np.flatnonzero(new)  # where each label's run starts
+    order = np.argsort(np.minimum.reduceat(perm, groups))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[perm] = rank[np.cumsum(new) - 1]
+    uniq = keys[groups[order]]
+    if width == 8:
+        uniq = uniq.view("S8")
+    return [lab.decode("ascii") for lab in uniq.tolist()], ids, weights

@@ -55,7 +55,9 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     order does not depend on when the heap is rebuilt.
     """
     src = sorted(S)
-    ptr, nbrs, wts = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
+    # memoryviews read the CSR arrays as Python ints and floats without
+    # holding a list of all 2m of them
+    ptr, nbrs, wts = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
     entry: list[tuple[float, int] | None] = [
         (sum(wts[ptr[v]:ptr[v + 1]]), v) for v in range(g.num_vertices)]
     for v in src:
@@ -75,11 +77,12 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
         entry[x] = None
         removed.append(x)
         remaining -= 1
-        for j in range(ptr[x], ptr[x + 1]):
-            e = entry[nbrs[j]]
+        a, b = ptr[x], ptr[x + 1]
+        for y, w in zip(nbrs[a:b], wts[a:b]):
+            e = entry[y]
             if e is not None:
-                y = e[1]
-                e = entry[y] = (e[0] - wts[j], y)
+                # e[1], not y: the entries share one int per vertex
+                e = entry[y] = (e[0] - w, e[1])
                 push(heap, e)
         # 8, not 2: with integer weights stale entries are seldom popped,
         # and rebuilding at 2 * remaining made that peel ~20% slower
@@ -98,15 +101,16 @@ def densest_prefix(g: Graph, order: VertexOrder) -> tuple[frozenset[int], float]
     maximizing induced edge weight / vertex count, with that value.
     """
     pos = order.positions()
-    ptr, nbrs, wts = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
+    ptr, nbrs, wts = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
     cum_weight = 0.0
     best_i = 1
     best_density = 0.0
     first = True
     for i, v in enumerate(order.sequence):
-        for j in range(ptr[v], ptr[v + 1]):
-            if pos[nbrs[j]] < i:
-                cum_weight += wts[j]
+        a, b = ptr[v], ptr[v + 1]
+        for y, w in zip(nbrs[a:b], wts[a:b]):
+            if pos[y] < i:
+                cum_weight += w
         density = cum_weight / (i + 1)
         if first or density > best_density:
             best_density = density
@@ -151,7 +155,7 @@ def _ranked_order(g: Graph, S: VertexSet, score) -> VertexOrder:
 
 def degree_order(g: Graph, S: VertexSet) -> VertexOrder:
     """Source first, then descending weighted degree, ties by id."""
-    wdeg = [g.weighted_degree(v) for v in range(g.num_vertices)]
+    wdeg = g.weighted_degrees()
     return _ranked_order(g, S, lambda v: wdeg[v])
 
 

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from nestseg.cli import main
+from nestseg.graph_core import _parse_regular
 
 HERE = Path(__file__).resolve().parent
 DATA_DIR = HERE.parent / "data"
@@ -51,9 +52,9 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
-def output_digest(argv: list[str]) -> str:
+def output_digest(argv: list[str], data_dir: Path = DATA_DIR) -> str:
     """sha256 of the exit code, stdout and stderr of one CLI call."""
-    argv = [str(DATA_DIR / a) if a in DATASETS else a for a in argv]
+    argv = [str(data_dir / a) if a in DATASETS else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -71,6 +72,26 @@ def test_cli_outputs_match_golden_bytes():
     assert sorted(actual) == sorted(expected), "case list changed"
     changed = [name for name in expected if actual[name] != expected[name]]
     assert not changed, f"{len(changed)} of {len(expected)} outputs changed, e.g. {changed[:5]}"
+
+
+def test_regular_file_path_matches_golden_bytes(tmp_path):
+    # both datasets open with a '#' line, which sends them through the line
+    # loop; without their comment lines they take the whole-file path
+    for data in DATASETS:
+        lines = (DATA_DIR / data).read_bytes().splitlines(keepends=True)
+        stripped = b"".join(line for line in lines if not line.startswith(b"#"))
+        assert _parse_regular(stripped) is not None
+        (tmp_path / data).write_bytes(stripped)
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    argvs = cases()
+    picked = [name for name, argv in argvs.items()
+              if argv[0] == "compare" or "--source" in argv
+              or argv[3:9] in (["--scheme", "sum", "--order", "peel", "-k", "5"],
+                               ["--scheme", "norm", "--order", "hops", "-k", "3"])]
+    assert len(picked) == 2 * (2 + 3 + 3 + 3)
+    changed = [name for name in picked
+               if output_digest(argvs[name], tmp_path) != expected[name]]
+    assert not changed, f"{len(changed)} of {len(picked)} outputs changed, e.g. {changed[:5]}"
 
 
 if __name__ == "__main__":

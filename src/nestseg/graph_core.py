@@ -232,6 +232,18 @@ _BLANK = np.zeros(256, dtype=bool)
 _BLANK[[ord("\t"), ord("\n"), ord(" ")]] = True
 
 
+def _gather(buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row t is token buf[starts[t]:starts[t] + sizes[t]], NUL-padded to a
+    multiple of 8 bytes.  Gathered column by column: bytes.split would
+    make a Python object of every token."""
+    shortest, longest = int(sizes.min()), int(sizes.max())
+    out = np.zeros((len(starts), -(-longest // 8) * 8), dtype=np.uint8)
+    for j in range(longest):
+        has = slice(None) if j < shortest else np.flatnonzero(sizes > j)
+        out[has, j] = buf[starts[has] + j]
+    return out
+
+
 def _parse_regular(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray] | None:
     """(labels, ids, weights) of a regular edge-list file, or None.
 
@@ -263,39 +275,29 @@ def _parse_regular(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray] | No
         return None
     del ends
 
-    # row t holds token t, NUL-padded to at least 8 bytes, gathered column
-    # by column (bytes.split would make a Python object of every token)
-    longest = int(sizes.max())
-    width = max(8, longest)
-    tokens = np.zeros((len(starts), width), dtype=np.uint8)
-    for j in range(longest):
-        has = np.flatnonzero(sizes > j)
-        tokens[has, j] = buf[starts[has] + j]
-    del buf, bounds, starts, sizes
-    tokens = tokens.view(f"S{width}").reshape(-1, cols)
+    starts, sizes = starts.reshape(-1, cols), sizes.reshape(-1, cols)
     if cols == 2:
-        weights = np.ones(len(tokens))
+        weights = np.ones(len(starts))
     else:
+        weights = _gather(buf, starts[:, 2], sizes[:, 2])
         try:
-            weights = tokens[:, 2].astype(np.float64)
+            weights = weights.view(f"S{weights.shape[1]}").ravel().astype(np.float64)
         except ValueError:
             return None
-    keys = tokens[:, :2].reshape(-1)
-    del tokens
-    if width == 8:  # distinct labels give distinct NUL-padded words
-        keys = keys.view(np.uint64)
+    # each label as a row of words; the order of the sort does not matter,
+    # only that equal labels end up adjacent
+    words = _gather(buf, starts[:, :2].ravel(), sizes[:, :2].ravel()).view(np.uint64)
+    del buf, bounds, starts, sizes
     # np.unique(return_index=True) would sort stably, which takes twice as
     # long; a label's first appearance is the least of its positions
-    perm = np.argsort(keys)
-    keys = keys[perm]
-    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    perm = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
+    words = words[perm]
+    new = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
     groups = np.flatnonzero(new)  # where each label's run starts
     order = np.argsort(np.minimum.reduceat(perm, groups))
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    ids = np.empty(len(keys), dtype=np.int64)
+    ids = np.empty(len(words), dtype=np.int64)
     ids[perm] = rank[np.cumsum(new) - 1]
-    uniq = keys[groups[order]]
-    if width == 8:
-        uniq = uniq.view("S8")
+    uniq = words[groups[order]].view(f"S{8 * words.shape[1]}").ravel()
     return [lab.decode("ascii") for lab in uniq.tolist()], ids, weights

@@ -156,6 +156,7 @@ REGULAR_FILES = [
     b"a\tb 2\n  b \t c   3 \nc a\t0.5",                # blanks, no final newline
     b"alpha_long_label beta_long_label 1\nbeta_long_label gamma 2\n",
     b"abcdefgh abcdefg\nabcdefg abcdefgh9\n",          # 8-byte keys and wider
+    b"node_0001 node_0002\nnode_0002 node_0003\nnode_0003 node_0001\n",
     b"1 01\n01 2\n2 1\n",                               # 1 and 01 are distinct
     b"a b\nb c\nc d\nb a\n",                            # duplicate on line 4
     b"a b\nb c\nc c\n",                                 # self-loop on line 3
@@ -195,8 +196,8 @@ def test_whole_file_loader_matches_line_loop(tmp_path):
 
 def test_whole_file_loader_matches_line_loop_seeded(tmp_path):
     rng = random.Random(6)
-    labels = ["a", "b", "c", "1", "01", "vertex_label_long", "abcdefgh",
-              "\u00e9", "a\x00", "x\x0by", "\ufeffq", "p\x1cq"]
+    labels = ["a", "b", "c", "1", "01", "vertex_label_long", "vertex_label_lone",
+              "abcdefgh", "\u00e9", "a\x00", "x\x0by", "\ufeffq", "p\x1cq"]
     weights = ["1", "3", "0.25", "1e3", "0", "-1", "nan", "inf", "x"]
     regular = 0
     for _ in range(400):

@@ -53,8 +53,8 @@ def resolve_source(g: Graph, source: list[str] | None) -> set[int]:
         raise ValueError("graph has no vertices")
     if source is None or source == [MAX_DEGREE]:
         wdeg = g.weighted_degrees()
-        best = max(range(g.num_vertices), key=lambda v: (wdeg[v], -v))
-        return {best}
+        # max returns the first maximum, the lowest id among ties
+        return {max(range(g.num_vertices), key=wdeg.__getitem__)}
     ids = set()
     for label in source:
         if label not in g.label_index:

@@ -36,8 +36,9 @@ class Graph:
     edge list read rows in this order, so it pins their float sums and
     tie-breaks, hence the reports.
 
-    Weights are finite and nonnegative; self-loops, unknown ids and
-    duplicate edges (either orientation) are rejected at construction.
+    Weights are finite, nonnegative and at most MAX_WEIGHT (2**400);
+    self-loops, unknown ids and duplicate edges (either orientation) are
+    rejected at construction.
     """
 
     __slots__ = ("labels", "label_index", "indptr", "indices", "weights",
@@ -102,13 +103,24 @@ class Graph:
         return self.us, self.vs, self.ws
 
 
+# The largest edge weight accepted.  The duplicate check's int64 codes
+# lo * n + hi need n**2 < 2**63, so there are fewer than 2**63 vertex
+# pairs, hence fewer than 2**63 edges and pair slots.  With every weight
+# at most 2**400, a row's weight sum stays below 2**463, every squared
+# slot deviation (slot weight - mean)**2 at most 2**800 and any sum of
+# them below 2**863, and the DP's squared sum of slot-weighted centred
+# means, (sum of a * c)**2 with sum of a < 2**63 and |c| <= 2**400,
+# below 2**926: all finite, well short of the float maximum 2**1024.
+MAX_WEIGHT = 2.0 ** 400
+
+
 def _check_edges(labels: list[str], a: np.ndarray, b: np.ndarray,
                  w: np.ndarray) -> None:
     """Raise GraphFormatError naming the first invalid edge, if any.
 
     Per edge, the first failing check in this order is reported: id
-    range, self-loop, finite weight, nonnegative weight, and repeating
-    an earlier edge in either orientation.
+    range, self-loop, finite weight, nonnegative weight, weight at most
+    MAX_WEIGHT, and repeating an earlier edge in either orientation.
     """
     n = len(labels)
     if not len(a) == len(b) == len(w):
@@ -126,6 +138,8 @@ def _check_edges(labels: list[str], a: np.ndarray, b: np.ndarray,
         (a == b, lambda i: f"self-loop on {labels[a[i]]!r}"),
         (~np.isfinite(w), lambda i: f"non-finite weight {float(w[i])!r}"),
         (w < 0, lambda i: f"negative weight {float(w[i])!r}"),
+        (w > MAX_WEIGHT,
+         lambda i: f"weight too large {float(w[i])!r} (limit 2**400)"),
         (repeat, lambda i: f"duplicate edge ({labels[a[i]]!r},{labels[b[i]]!r})"),
     ]
     found = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(checks)
@@ -155,8 +169,8 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     ------
     GraphFormatError
         On a self-loop, a duplicate edge (either orientation), a
-        negative or non-finite weight, or an unparsable line.  The
-        message names the first offending 1-based line number.
+        negative, non-finite or too large weight, or an unparsable
+        line.  The message names the first offending 1-based line number.
     """
     index: dict[str, int] = {}
     intern = index.setdefault

@@ -17,11 +17,13 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph_core import Graph, VertexSet
 from .ordering import VertexOrder, sort_vertices
 from .segmentation import (Block, InfeasibleKError, _centred_prefix_sums,
                            _span_cost, pav_pool, segment_dp)
+from .weighting import PageRankVector, _power_iteration
 
 
 def random_graph(rng: random.Random, n: int, edge_prob: float,
@@ -203,9 +205,10 @@ def reference_segment_dp(blocks: Sequence[Block], k: int
 
 
 def reference_peel(g: Graph, S: VertexSet) -> list[int]:
-    """sort_vertices(g, S).sequence by a heap that is never compacted.
+    """sort_vertices(g, S).sequence by a heap of every vertex.
 
-    The same peel with plain lazy deletion: an entry is stale when its
+    The same peel with plain lazy deletion, every vertex in the heap
+    from the start and one push per decrement: an entry is stale when its
     vertex is gone or its weight is no longer the vertex's weighted
     degree, and stale entries stay in the heap until popped.  Same
     per-row sums and row-order decrements, so the weighted degrees, and
@@ -240,6 +243,29 @@ def reference_peel(g: Graph, S: VertexSet) -> list[int]:
                 heapq.heappush(heap, (wdeg[y], y))
     removed.reverse()
     return src + removed
+
+
+def reference_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
+                       use_edge_weights: bool = False, tol: float = 1e-10,
+                       max_iter: int = 10000) -> PageRankVector:
+    """personalized_pagerank(g, S, ...) with the walk operator built from
+    the u < v edge arrays: a COO matrix of both orientations, converted
+    to CSR, scaled by the inverse row sums and transposed.  Same power
+    iteration, so p, residual and iterations are bit-identical."""
+    n = g.num_vertices
+    us, vs, ws = g.edge_arrays()
+    data = ws if use_edge_weights else np.ones(len(us))
+    # symmetric weight matrix; rows index the walker's current vertex
+    rows = np.concatenate([us, vs])
+    cols = np.concatenate([vs, us])
+    vals = np.concatenate([data, data])
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    strength = np.asarray(A.sum(axis=1)).ravel()
+    dangling = strength == 0.0
+    inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, strength))
+    # step operator transposed: step_T @ p redistributes p along edges
+    step_T = A.multiply(inv[:, None]).T.tocsr()
+    return _power_iteration(step_T, dangling, sorted(S), restart, tol, max_iter)
 
 
 def exact_segment_cost(points: Sequence[tuple[float, float]],

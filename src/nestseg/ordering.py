@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +20,19 @@ class VertexOrder:
 
     def __post_init__(self):
         n = len(self.sequence)
-        if sorted(self.sequence) != list(range(n)):
+        seq = np.asarray(self.sequence, dtype=np.int64)
+        # n ids in 0..n-1 with no empty count are each there exactly once
+        if n and (seq.min() < 0 or seq.max() >= n
+                  or not np.bincount(seq, minlength=n).all()):
             raise ValueError("sequence is not a permutation of 0..n-1")
         if not (0 <= self.source_size <= n):
             raise ValueError("source_size out of range")
 
     def positions(self) -> list[int]:
         """positions()[v] = index of vertex v in the sequence."""
-        pos = [0] * len(self.sequence)
-        for i, v in enumerate(self.sequence):
-            pos[v] = i
-        return pos
+        pos = np.empty(len(self.sequence), dtype=np.int64)
+        pos[np.asarray(self.sequence, dtype=np.int64)] = np.arange(len(pos))
+        return pos.tolist()
 
     def source(self) -> frozenset[int]:
         return frozenset(self.sequence[:self.source_size])
@@ -44,51 +47,61 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     set, in ascending id order, forms the head of the result; the first
     vertex peeled ends up last.
 
-    Binary heap of (weighted degree, id) entries with lazy deletion:
-    entry[v] is live vertex v's current entry (None once v is removed,
-    and for the source), and a popped entry that is not its vertex's
-    current one is stale.  After each removal the heap holds at most
-    8 * remaining + 1024 entries: past that it is rebuilt from the
-    current entries alone, which takes at least 7 * remaining + 1024
-    pushes since the previous rebuild, so the peel stays
-    O((n + m) log n) amortised.  Stale entries are never taken, so the
-    order does not depend on when the heap is rebuilt.
+    A binary heap of (weighted degree, id) entries holds only the
+    vertices at or below a cut tau.  Invariant: every remaining vertex
+    whose degree is at most tau has a current entry in the heap, that
+    is one whose key equals the vertex's degree; other entries are
+    stale and skipped when popped.  Degrees only fall, so a decrement
+    pushes a new entry exactly when it leaves the degree at or below
+    tau.  When the heap runs out of current entries, tau is raised to
+    the max(1024, remaining // 16)-th smallest remaining degree and
+    every remaining vertex at or below it, ties included, is heapified.
+    Each refill thus hands out at least 1/16 of the remaining vertices
+    (or 1024), so there are O(log n) refills of O(n) each, and each
+    decrement pushes at most once: O((n + m) log n) in all.
+
+    Every entry's key is at most tau, and every remaining vertex at or
+    below tau has its current entry, so the least current entry is the
+    global (degree, id) minimum whatever tau is: the order does not
+    depend on tau.
     """
     src = sorted(S)
     # memoryviews read the CSR arrays as Python ints and floats without
     # holding a list of all 2m of them
     ptr, nbrs, wts = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
-    entry: list[tuple[float, int] | None] = [
-        (sum(wts[ptr[v]:ptr[v + 1]]), v) for v in range(g.num_vertices)]
+    deg = [sum(wts[a:b]) for a, b in zip(ptr, ptr[1:])]
+    # removed and source vertices read NaN: a decrement keeps them NaN,
+    # NaN <= tau is false, no key equals NaN, and np.partition sorts NaN
+    # last; a live degree may be inf
+    nan = math.nan
     for v in src:
-        entry[v] = None
-    heap = list(filter(None, entry))
-    heapq.heapify(heap)
+        deg[v] = nan
     push = heapq.heappush
     pop = heapq.heappop
 
+    heap: list[tuple[float, int]] = []
+    tau = -math.inf
     removed: list[int] = []
-    remaining = len(heap)
+    remaining = g.num_vertices - len(src)
     while remaining:
-        e = pop(heap)
-        x = e[1]
-        if entry[x] is not e:
+        if not heap:
+            degs = np.array(deg)
+            rank = min(max(1024, remaining // 16), remaining) - 1
+            tau = float(np.partition(degs, rank)[rank])
+            heap = [(deg[v], v) for v in np.flatnonzero(degs <= tau).tolist()]
+            heapq.heapify(heap)
+        key, x = pop(heap)
+        if key != deg[x]:
             continue  # stale entry
-        entry[x] = None
+        deg[x] = nan
         removed.append(x)
         remaining -= 1
         a, b = ptr[x], ptr[x + 1]
         for y, w in zip(nbrs[a:b], wts[a:b]):
-            e = entry[y]
-            if e is not None:
-                # e[1], not y: the entries share one int per vertex
-                e = entry[y] = (e[0] - w, e[1])
-                push(heap, e)
-        # 8, not 2: with integer weights stale entries are seldom popped,
-        # and rebuilding at 2 * remaining made that peel ~20% slower
-        if len(heap) > 8 * remaining + 1024:
-            heap = list(filter(None, entry))
-            heapq.heapify(heap)
+            d = deg[y] - w
+            deg[y] = d
+            if d <= tau:
+                push(heap, (d, y))
 
     removed.reverse()
     return VertexOrder(sequence=src + removed, source_size=len(src))

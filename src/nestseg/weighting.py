@@ -81,23 +81,28 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
     if not (0.0 < restart < 1.0):
         raise ValueError(f"restart must be in (0, 1), got {restart}")
 
-    r_vec = np.zeros(n)
-    src = sorted(S)
-    r_vec[src] = 1.0 / len(src)
-
-    us, vs, ws = g.edge_arrays()
-    data = ws if use_edge_weights else np.ones(len(us))
-    # symmetric weight matrix; rows index the walker's current vertex
-    rows = np.concatenate([us, vs])
-    cols = np.concatenate([vs, us])
-    vals = np.concatenate([data, data])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    # symmetric weight matrix; rows index the walker's current vertex.
+    # copy=True: sort_indices works in place, and g's arrays are read-only
+    data = g.weights if use_edge_weights else np.ones(len(g.indices))
+    A = sp.csr_matrix((data, g.indices, g.indptr), shape=(n, n), copy=True)
+    A.sort_indices()
     strength = np.asarray(A.sum(axis=1)).ravel()
     dangling = strength == 0.0
     inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, strength))
-    # step operator transposed: step_T @ p redistributes p along edges
-    step_T = A.multiply(inv[:, None]).T.tocsr()
+    # step operator transposed, step_T[y, x] = A[x, y] / strength[x]: A is
+    # symmetric with sorted rows, so row y of A lists the x of row y of
+    # step_T in the order that A.T.tocsr() would
+    step_T = sp.csr_matrix((A.data * inv[A.indices], A.indices, A.indptr),
+                           shape=(n, n))
+    return _power_iteration(step_T, dangling, sorted(S), restart, tol, max_iter)
 
+
+def _power_iteration(step_T, dangling: np.ndarray, src: list[int],
+                     restart: float, tol: float, max_iter: int) -> PageRankVector:
+    """Iterate the restarting walk with operator step_T from the restart
+    distribution on src until the L1 change drops to tol."""
+    r_vec = np.zeros(len(dangling))
+    r_vec[src] = 1.0 / len(src)
     p = r_vec.copy()
     damp = 1.0 - restart
     for it in range(1, max_iter + 1):

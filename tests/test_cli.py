@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from nestseg.cli import (RunConfig, compare_baselines, main, resolve_source,
 from nestseg.graph_core import load_edge_list_path
 from nestseg.weighting import WeightingScheme
 
-from conftest import KARATE, LESMIS
+from conftest import KARATE, LESMIS, path_graph
 
 
 KARATE_PATH = str(KARATE)
@@ -230,6 +231,45 @@ def test_malformed_file_exits_one(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("extra", [["-k", "1"],
+                                   ["--source", "a", "--scheme", "original"]])
+def test_overflowing_weight_exits_one_without_traceback(tmp_path, extra):
+    # two weights of 1e308 overflow a weighted degree (and the segment
+    # costs), so the file is rejected at the first one
+    big = tmp_path / "big.txt"
+    big.write_text("a b 1e308\nb c 1e308\nc d 1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(nestseg.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "nestseg", "run", "--input",
+                           str(big), *extra], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: line 1: weight too large 1e+308 (limit 2**400)\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["--scheme", "original"],
+                                  ["--scheme", "original", "--weighted-walk"],
+                                  ["--scheme", "sum", "--weighted-walk"]])
+def test_weights_at_the_bound_run(tmp_path, capsys, argv):
+    # K8 with weights 2**400 and 1 mixed, and a pendant of weight 0:
+    # every sum and squared deviation stays finite
+    bound = 2.0 ** 400
+    lines = [f"{u} {v} {bound if (u + v) % 3 else 1.0!r}\n"
+             for u in range(8) for v in range(u + 1, 8)]
+    at_bound = tmp_path / "bound.txt"
+    at_bound.write_text("".join(lines) + "7 8 0\n")
+    code, out, err = run_cli(capsys, "run", "--input", str(at_bound), "-k", "2",
+                             *argv)
+    assert code == 0, err
+    assert math.isfinite(json.loads(out)["total_score"])
+    above = tmp_path / "above.txt"
+    above.write_text(f"a b {math.nextafter(bound, math.inf)!r}\n")
+    code, _, err = run_cli(capsys, "run", "--input", str(above), "-k", "1", *argv)
+    assert code == 1
+    assert err.startswith("error: line 1: weight too large")
+
+
 def test_unknown_source_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "--input", KARATE_PATH,
                            "-k", "2", "--source", "nope")
@@ -309,6 +349,11 @@ def test_resolve_source_default_picks_heaviest():
                                             g.label_index["2"]}
     with pytest.raises(ValueError):
         resolve_source(g, ["ghost"])
+
+
+def test_resolve_source_ties_go_to_the_lowest_id():
+    # b and c of the path a-b-c-d both have weighted degree 2
+    assert resolve_source(path_graph(4), None) == {1}
 
 
 def test_run_pipeline_reports_match_sequence():

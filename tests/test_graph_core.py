@@ -49,6 +49,9 @@ def test_parse_labels_in_first_appearance_order():
     (["a b 1", "b a 2"], "duplicate"),
     # skipped lines count, and an earlier bad edge beats a later bad line
     (["# h", "", "a b", "# x", "b a 2", "c d oops"], "line 5: duplicate"),
+    # one above 2**400, and a too large weight beats a duplicate
+    (["a b 1", "b c 2.5822498780869090e+120"], "line 2: weight too large"),
+    (["a b 1", "b a 1e308"], "line 2: weight too large 1e+308 (limit 2**400)"),
 ])
 def test_parse_rejects_malformed_lines(lines, fragment):
     with pytest.raises(GraphFormatError) as exc:

@@ -95,13 +95,33 @@ def _gnm(seed: int, n: int, m: int, weights) -> Graph:
                  weights(rng, m))
 
 
-def test_compacted_peel_matches_uncompacted_reference(monkeypatch):
-    # graphs large enough that the heap passes its 1024-entry floor and
-    # is rebuilt; every scheme's weights come from a real walk vector
-    heapify_calls = []
+def _count_refills(monkeypatch) -> list[int]:
+    """Sizes of the heaps heapified from now on; sort_vertices heapifies
+    once per raise of its cut."""
+    sizes: list[int] = []
     heapify = heapq.heapify
     monkeypatch.setattr(heapq, "heapify",
-                        lambda h: (heapify_calls.append(len(h)), heapify(h)))
+                        lambda h: (sizes.append(len(h)), heapify(h)))
+    return sizes
+
+
+def _clique_union(sizes_weights) -> Graph:
+    """Disjoint cliques, one per (size, weight), in that vertex order."""
+    heads, tails, weights = [], [], []
+    start = 0
+    for size, w in sizes_weights:
+        for u in range(start, start + size):
+            for v in range(u + 1, start + size):
+                heads.append(u)
+                tails.append(v)
+                weights.append(w)
+        start += size
+    return Graph([str(v) for v in range(start)], heads, tails, weights)
+
+
+def test_tiered_peel_matches_reference():
+    # graphs of 3000 vertices, past the 1024-vertex floor of the cut;
+    # every scheme's weights come from a real walk vector
     cases = []
     for seed, S in ((1, set()), (2, {0}), (3, {5, 17, 400})):
         g = _gnm(seed, 3000, 30000, lambda rng, m: np.ones(m))
@@ -111,12 +131,40 @@ def test_compacted_peel_matches_uncompacted_reference(monkeypatch):
     # exact ties: small integer weights
     cases.append((_gnm(4, 3000, 30000, lambda rng, m: rng.integers(1, 4, m) * 1.0),
                   {1}))
+    # zero-weight edges: a decrement leaves the key unchanged, so a vertex
+    # has several equal entries in the heap
+    cases.append((_gnm(5, 3000, 30000, lambda rng, m: rng.integers(0, 2, m) * 1.0),
+                  set()))
+    # vertices the edges never touch, built by the constructor: degree 0
+    g = _gnm(6, 3000, 6000, lambda rng, m: rng.random(m))
+    cases.append((Graph([str(v) for v in range(4000)], g.us, g.vs, g.ws), {3999}))
+    # a source of all but one vertex
+    cases.append((g, set(range(1, 3000))))
     for g, S in cases:
-        del heapify_calls[:]
         assert sort_vertices(g, S).sequence == reference_peel(g, S)
-        # one heapify each for the initial heaps of both peels, the rest
-        # are rebuilds of the compacted heap
-        assert len(heapify_calls) > 2
+
+
+def test_peel_cut_takes_every_tie(monkeypatch):
+    # a 3000-cycle with 400 chords: 2200 vertices of degree 2 and 800 of
+    # degree 3, so the cut is 2 and all 2200 ties enter the first heap
+    cycle = [(v, (v + 1) % 3000, 1.0) for v in range(3000)]
+    chords = [(v, v + 1500, 1.0) for v in range(0, 1200, 3)]
+    g = Graph.from_edges([str(v) for v in range(3000)], cycle + chords)
+    refills = _count_refills(monkeypatch)
+    order = sort_vertices(g, set()).sequence
+    assert refills == [2200]
+    assert order == reference_peel(g, set())
+
+
+def test_peel_raises_its_cut_when_the_heap_runs_out(monkeypatch):
+    # disjoint cliques of growing size and weight: peeling a clique
+    # lowers only its own degrees, so the vertices at or below the cut
+    # run out and the cut must be raised again and again
+    g = _clique_union([(3 + c % 6, 1.0 + c) for c in range(600)])
+    refills = _count_refills(monkeypatch)
+    order = sort_vertices(g, set()).sequence
+    assert len(refills) >= 3
+    assert order == reference_peel(g, set())
 
 
 def test_vertex_order_validation():

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestseg.graph_core import Graph
+from nestseg.oracle import reference_pagerank
 from nestseg.weighting import (ConvergenceError, WeightingScheme,
                                apply_weighting, personalized_pagerank)
 
@@ -100,6 +102,33 @@ def test_mass_conservation_on_random_graphs(seed, n):
     assert pr.p.sum() == pytest.approx(1.0, abs=1e-9)
     assert (pr.p >= 0).all()
     assert pr.p[0] >= 0.1 - 1e-12
+
+
+def _walk_graph(seed: int) -> tuple[Graph, set[int]]:
+    """Random graph with edges in random order and orientation, about half
+    of them of weight 0, three isolated vertices, and a 1-3 vertex source."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 300))
+    pairs = np.unique(np.sort(rng.integers(0, n, size=(3 * n, 2)), axis=1), axis=0)
+    pairs = rng.permutation(pairs[pairs[:, 0] != pairs[:, 1]])
+    flip = rng.random(len(pairs)) < 0.5
+    heads = np.where(flip, pairs[:, 1], pairs[:, 0])
+    tails = np.where(flip, pairs[:, 0], pairs[:, 1])
+    w = rng.random(len(pairs)) * rng.integers(0, 2, len(pairs))
+    g = Graph([str(v) for v in range(n + 3)], heads, tails, w)
+    S = set(rng.choice(n + 3, size=int(rng.integers(1, 4)), replace=False).tolist())
+    return g, S
+
+
+def test_walk_matches_reference_operator_bit_for_bit(karate, lesmis):
+    cases = [_walk_graph(seed) for seed in range(40)]
+    cases += [(karate, {0}), (lesmis, {0, 11, 48})]
+    for g, S in cases:
+        for weighted in (False, True):
+            got = personalized_pagerank(g, S, use_edge_weights=weighted)
+            want = reference_pagerank(g, S, use_edge_weights=weighted)
+            assert got.p.tobytes() == want.p.tobytes()
+            assert (got.residual, got.iterations) == (want.residual, want.iterations)
 
 
 # ------------------------------------------------------------- reweighting

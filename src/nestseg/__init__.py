@@ -22,13 +22,11 @@ from .weighting import (
 from .ordering import (
     VertexOrder,
     degree_order,
-    densest_prefix,
     hops_levels,
     pagerank_order,
     sort_vertices,
 )
 from .segmentation import (
-    Block,
     CommunitySequence,
     DensityMonotonicityError,
     InfeasibleKError,
@@ -36,9 +34,8 @@ from .segmentation import (
     Segmenter,
     discover,
     group_arrays,
-    pav_pool,
+    pool_violators,
     score_sequence,
-    segment_dp,
 )
 
 __all__ = [
@@ -46,11 +43,11 @@ __all__ = [
     "load_edge_list_path",
     "PageRankVector", "WeightingScheme", "apply_weighting",
     "personalized_pagerank",
-    "VertexOrder", "degree_order", "densest_prefix", "hops_levels",
-    "pagerank_order", "sort_vertices",
-    "Block", "CommunitySequence", "DensityMonotonicityError",
-    "InfeasibleKError", "SegmentTable", "Segmenter", "discover",
-    "group_arrays", "pav_pool", "score_sequence", "segment_dp",
+    "VertexOrder", "degree_order", "hops_levels", "pagerank_order",
+    "sort_vertices",
+    "CommunitySequence", "DensityMonotonicityError", "InfeasibleKError",
+    "SegmentTable", "Segmenter", "discover", "group_arrays",
+    "pool_violators", "score_sequence",
 ]
 
 __version__ = "0.1.0"

@@ -163,7 +163,7 @@ def export_dot(g: Graph, seq: CommunitySequence) -> str:
         color = palette[segment[pos] % len(palette)]
         extra = ", peripheries=2" if pos < s else ""
         lines.append(f'  "{g.labels[v]}" [fillcolor="{color}"{extra}];')
-    pos_of = order.positions()
+    pos_of = order.positions().tolist()
     us, vs, _ = g.edge_arrays()
     edges = sorted(((min(pos_of[u], pos_of[v]), max(pos_of[u], pos_of[v]))
                     for u, v in zip(us.tolist(), vs.tolist())))

@@ -21,8 +21,8 @@ import scipy.sparse as sp
 
 from .graph_core import Graph, VertexSet
 from .ordering import VertexOrder, sort_vertices
-from .segmentation import (Block, InfeasibleKError, _centred_prefix_sums,
-                           _span_cost, pav_pool, segment_dp)
+from .segmentation import (InfeasibleKError, SegmentTable,
+                           _centred_prefix_sums, _span_cost, pool_violators)
 from .weighting import PageRankVector, _power_iteration
 
 
@@ -172,20 +172,21 @@ def brute_force_segmentation(points: Sequence[tuple[float, float]], k: int,
     return best_cuts, best_cost
 
 
-def reference_segment_dp(blocks: Sequence[Block], k: int
+def reference_segment_dp(weights: np.ndarray, means: np.ndarray, k: int
                          ) -> tuple[list[int], float]:
-    """segment_dp by a full scan of every predecessor of every cell.
+    """SegmentTable(weights, means).solve(k) by a full scan of every
+    predecessor of every cell.
 
-    O(N^2 k), with the same centred span costs as segment_dp, so on
+    O(N^2 k), with the same centred span costs as SegmentTable, so on
     inputs where the optimal predecessor is monotone the two return
     bit-identical cuts and cost (smallest predecessor on ties).
     """
-    n = len(blocks)
+    n = len(weights)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n:
         raise InfeasibleKError(k, n)
-    prefix = _centred_prefix_sums(blocks)
+    prefix = _centred_prefix_sums(weights, means)
     idx = np.arange(n + 1)
     best = np.full((k + 1, n + 1), np.inf)
     back = np.zeros((k + 1, n + 1), dtype=np.int64)
@@ -479,6 +480,23 @@ def check_prop_density(g: Graph, S: VertexSet, k: int,
             "violations": len(violations), "examples": violations[:5]}
 
 
+def densest_prefix(g: Graph, order: VertexOrder) -> tuple[frozenset[int], float]:
+    """Best prefix of the order under the average-degree objective.
+
+    Scans all prefixes {v_1..v_i}, i >= 1, and returns the first one
+    maximizing induced edge weight / vertex count, with that value.
+    """
+    n = g.num_vertices
+    pos = order.positions()
+    us, vs, ws = g.edge_arrays()
+    # an edge joins the prefixes from its later endpoint's position on
+    cum = np.cumsum(np.bincount(np.maximum(pos[us], pos[vs]), weights=ws,
+                                minlength=n))
+    density = cum / np.arange(1, n + 1)
+    best = int(np.argmax(density))
+    return frozenset(order.sequence[:best + 1]), float(density[best])
+
+
 def brute_force_densest_subgraph(g: Graph) -> tuple[frozenset[int], float]:
     """Exhaustive maximizer of induced weight / vertex count."""
     n = g.num_vertices
@@ -696,9 +714,9 @@ def run_checks(rng: random.Random, trials: int, props: Sequence[str]
     and yields (prop, passed, summary), passed meaning no violation or
     mismatch.  density: the optimum's attach/remove density property;
     left, right: the peel order's lower and stretch-factor upper bounds;
-    pav: pooling against the exhaustive antitonic fit; dp: segment_dp
-    against exhaustive segmentation.  Raises ValueError on reaching an
-    unknown property.
+    pav: pooling against the exhaustive antitonic fit; dp: the
+    segmentation DP against exhaustive segmentation.  Raises ValueError
+    on reaching an unknown property.
     """
     for prop in props:
         if prop == "density":
@@ -722,7 +740,7 @@ def run_checks(rng: random.Random, trials: int, props: Sequence[str]
             for _ in range(trials):
                 pts = [(rng.randint(1, 6), rng.randint(0, 16) / 4.0)
                        for _ in range(rng.randint(1, 10))]
-                sse = sum(b.sse for b in pav_pool(pts))
+                sse = sum(pool_violators(*zip(*pts))[3].tolist())
                 _, ref = brute_force_antitonic_fit(pts)
                 if abs(sse - ref) > 1e-9:
                     viol += 1
@@ -733,12 +751,10 @@ def run_checks(rng: random.Random, trials: int, props: Sequence[str]
                 n = rng.randint(1, 10)
                 means = sorted({rng.randint(0, 40) / 4.0 for _ in range(n)},
                                reverse=True)
-                blocks = [Block(i, i + 1, rng.randint(1, 5), m, 0.0)
-                          for i, m in enumerate(means)]
-                k = rng.randint(1, min(4, len(blocks)))
-                _, cost = segment_dp(blocks, k)
-                _, ref = brute_force_segmentation(
-                    [(b.weight, b.mean) for b in blocks], k)
+                weights = [rng.randint(1, 5) for _ in means]
+                k = rng.randint(1, min(4, len(means)))
+                _, cost = SegmentTable(weights, means).solve(k)
+                _, ref = brute_force_segmentation(list(zip(weights, means)), k)
                 if abs(cost - ref) > 1e-9:
                     viol += 1
             summary = f"{trials} sequences, {viol} mismatches"

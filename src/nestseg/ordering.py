@@ -28,11 +28,11 @@ class VertexOrder:
         if not (0 <= self.source_size <= n):
             raise ValueError("source_size out of range")
 
-    def positions(self) -> list[int]:
-        """positions()[v] = index of vertex v in the sequence."""
+    def positions(self) -> np.ndarray:
+        """positions()[v] = index of vertex v in the sequence (int64)."""
         pos = np.empty(len(self.sequence), dtype=np.int64)
         pos[np.asarray(self.sequence, dtype=np.int64)] = np.arange(len(pos))
-        return pos.tolist()
+        return pos
 
     def source(self) -> frozenset[int]:
         return frozenset(self.sequence[:self.source_size])
@@ -105,31 +105,6 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
 
     removed.reverse()
     return VertexOrder(sequence=src + removed, source_size=len(src))
-
-
-def densest_prefix(g: Graph, order: VertexOrder) -> tuple[frozenset[int], float]:
-    """Best prefix of the order under the average-degree objective.
-
-    Scans all prefixes {v_1..v_i}, i >= 1, and returns the first one
-    maximizing induced edge weight / vertex count, with that value.
-    """
-    pos = order.positions()
-    ptr, nbrs, wts = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
-    cum_weight = 0.0
-    best_i = 1
-    best_density = 0.0
-    first = True
-    for i, v in enumerate(order.sequence):
-        a, b = ptr[v], ptr[v + 1]
-        for y, w in zip(nbrs[a:b], wts[a:b]):
-            if pos[y] < i:
-                cum_weight += w
-        density = cum_weight / (i + 1)
-        if first or density > best_density:
-            best_density = density
-            best_i = i + 1
-            first = False
-    return frozenset(order.sequence[:best_i]), best_density
 
 
 def hops_levels(g: Graph, S: VertexSet) -> list[set[int]]:

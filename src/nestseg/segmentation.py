@@ -16,7 +16,7 @@ by divide and conquer in O(N log N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,16 +52,6 @@ class DensityMonotonicityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Block:
-    """A pooled run of group points; span is half-open [start, end)."""
-    start: int
-    end: int
-    weight: float
-    mean: float
-    sse: float
-
-
-@dataclass(frozen=True)
 class CommunitySequence:
     """k nested communities over an order: V_j = first breakpoints[j] vertices."""
     order: VertexOrder
@@ -78,10 +68,6 @@ class CommunitySequence:
     def community(self, j: int) -> list[int]:
         """Vertex ids of the j-th nested community (1-based), source included."""
         return list(self.order.sequence[:self.breakpoints[j]])
-
-    def segment(self, j: int) -> list[int]:
-        """Vertex ids added by the j-th community (1-based)."""
-        return list(self.order.sequence[self.breakpoints[j - 1]:self.breakpoints[j]])
 
 
 def group_arrays(g: Graph, order: VertexOrder
@@ -119,56 +105,59 @@ def group_arrays(g: Graph, order: VertexOrder
 
 def _later_positions(g: Graph, order: VertexOrder) -> tuple[np.ndarray, np.ndarray]:
     """Order position of each edge's later endpoint, and the edge weights."""
-    pos = np.empty(g.num_vertices, dtype=np.int64)
-    pos[np.asarray(order.sequence, dtype=np.int64)] = np.arange(g.num_vertices)
+    pos = order.positions()
     us, vs, ws = g.edge_arrays()
     return np.maximum(pos[us], pos[vs]), ws
 
 
-def pav_pool(points: Iterable[tuple[float, float]]) -> list[Block]:
+def pool_violators(weights: np.ndarray, values: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pool adjacent violators of a strictly-decreasing-means fit.
 
-    Parameters
-    ----------
-    points:
-        (weight, value) pairs, weights positive, in sequence order.
-
-    Returns
-    -------
-    Blocks tiling the input, each with the weighted mean of its span;
-    reported means are strictly decreasing (neighbors whose reported
-    means are equal are merged, even when their sums differ by rounding).
-    Among all non-increasing fits, the block means minimize the
-    weighted sum of squared deviations; total weight and total
-    weight*mean are conserved (exactly so when the inputs are exactly
-    representable, to rounding otherwise).  Linear time.
+    weights (positive) and values are the points in sequence order.
+    Returns the blocks tiling them as arrays (end, weight, mean, sse):
+    block t spans points [end[t-1], end[t]), the first from 0, and
+    carries its total weight, weighted mean and the weighted squared
+    deviation of its points around that mean.  Reported means are
+    strictly decreasing (neighbors whose reported means are equal are
+    merged, even when their sums differ by rounding).  Among all
+    non-increasing fits, the block means minimize the weighted sum of
+    squared deviations; total weight and total weight*mean are
+    conserved (exactly so when the inputs are exactly representable,
+    to rounding otherwise).  Linear time.
     """
-    # stack rows: [start, end, weight, weighted_sum, sse]
-    stack: list[list[float]] = []
-    for i, (w, v) in enumerate(points):
+    # the block stack, one list per field; the newest block is held in
+    # (w, s, e), its weight, weighted sum and sse, until it stops merging
+    end: list[int] = []
+    wt: list[float] = []
+    tot: list[float] = []
+    sse: list[float] = []
+    for i, (w, v) in enumerate(zip(np.asarray(weights, dtype=np.float64).tolist(),
+                                   np.asarray(values, dtype=np.float64).tolist())):
         if w <= 0:
             raise ValueError(f"point {i}: weight must be positive, got {w}")
-        stack.append([i, i + 1, float(w), float(w) * float(v), 0.0])
-        while len(stack) >= 2 and (stack[-2][3] / stack[-2][2]
-                                   <= stack[-1][3] / stack[-1][2]):
+        s, e = w * v, 0.0
+        while wt and tot[-1] / wt[-1] <= s / w:
             # previous mean <= current mean: merge.  The quotients are the
             # means the blocks report, so no two reported means tie.
-            s2 = stack.pop()
-            s1 = stack[-1]
-            w1, w2 = s1[2], s2[2]
-            m1, m2 = s1[3] / w1, s2[3] / w2
-            s1[1] = s2[1]
-            s1[2] = w1 + w2
-            s1[3] = s1[3] + s2[3]
-            s1[4] = s1[4] + s2[4] + (w1 * w2 / (w1 + w2)) * (m1 - m2) ** 2
-    return [Block(start=int(r[0]), end=int(r[1]), weight=r[2],
-                  mean=r[3] / r[2], sse=r[4]) for r in stack]
+            end.pop()
+            w1, s1 = wt.pop(), tot.pop()
+            m1, m2 = s1 / w1, s / w
+            e = sse.pop() + e + (w1 * w / (w1 + w)) * (m1 - m2) ** 2
+            w, s = w1 + w, s1 + s
+        end.append(i + 1)
+        wt.append(w)
+        tot.append(s)
+        sse.append(e)
+    weight = np.array(wt)
+    return (np.array(end, dtype=np.int64), weight, np.array(tot) / weight,
+            np.array(sse))
 
 
 _Prefix = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _centred_prefix_sums(blocks: Sequence[Block]) -> _Prefix:
+def _centred_prefix_sums(weights: np.ndarray, means: np.ndarray) -> _Prefix:
     """Prefix sums of w, w*c and w*c^2, with c the block means less their
     weighted mean.
 
@@ -176,8 +165,8 @@ def _centred_prefix_sums(blocks: Sequence[Block]) -> _Prefix:
     keeps sq - sx^2/w from cancelling when the means spread far less
     than their level (PPR-derived weights around 1e-5).
     """
-    A = np.array([b.weight for b in blocks])
-    M = np.array([b.mean for b in blocks])
+    A = np.asarray(weights, dtype=np.float64)
+    M = np.asarray(means, dtype=np.float64)
     C = M - (A * M).sum() / A.sum()
     zero = np.zeros(1)
     return (np.concatenate([zero, np.cumsum(A)]),
@@ -199,7 +188,7 @@ def _dp_row(prefix: _Prefix, prev: np.ndarray, ell: int
     """Row ell of the DP from row ell-1, for every end j in [ell, N].
 
     best[j] = min over i in [ell-1, j-1] of prev[i] + cost(i, j), and
-    back[j] its smallest minimizing i.  Block means strictly decrease,
+    back[j] its smallest minimizing i.  The means strictly decrease,
     so the cost meets the quadrangle inequality and back[j] is
     nondecreasing in j: divide and conquer settles the midpoint of
     every open interval of ends at once, searching only the window
@@ -235,22 +224,26 @@ def _dp_row(prefix: _Prefix, prev: np.ndarray, ell: int
 class SegmentTable:
     """Rows of the segmentation DP over pooled blocks, grown on demand.
 
-    Row ell holds, for every end j, the optimal cost of cutting the
-    first j blocks into ell segments and the start of the last one.
-    Rows do not depend on the k asked for, so a table grown to K
-    answers every k <= K.
+    Cutting N blocks of strictly decreasing means into k contiguous
+    segments, the DP minimizes the summed weighted squared deviation of
+    block means around each segment's weighted centroid.  Row ell holds,
+    for every end j, the optimal cost of cutting the first j blocks into
+    ell segments and the start of the last one; a row takes O(N log N).
+    Rows do not depend on the k asked for, so a table grown to K answers
+    every k <= K.
     """
 
-    def __init__(self, blocks: Sequence[Block]):
-        self.n = len(blocks)
-        self._prefix = _centred_prefix_sums(blocks)
+    def __init__(self, weights: np.ndarray, means: np.ndarray):
+        self.n = len(weights)
+        self._prefix = _centred_prefix_sums(weights, means)
         row0 = np.full(self.n + 1, np.inf)
         row0[0] = 0.0
         self._best = [row0]
         self._back = [np.zeros(self.n + 1, dtype=np.int64)]
 
     def solve(self, k: int) -> tuple[list[int], float]:
-        """Cuts (0 and N included) and cost of the optimal k-segmentation."""
+        """Cuts (0 and N included) and cost of the optimal k-segmentation;
+        cost ties go to the smallest predecessor at every cell."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if k > self.n:
@@ -266,28 +259,12 @@ class SegmentTable:
         return cuts, float(self._best[k][self.n])
 
 
-def segment_dp(blocks: Sequence[Block], k: int) -> tuple[list[int], float]:
-    """Optimal k-segmentation of pooled blocks by weighted SSE.
-
-    Minimizes, over all ways to cut the block sequence into k contiguous
-    segments, the sum over segments of the weighted squared deviation of
-    block means around the segment's weighted centroid.  Returns the
-    k+1 cut positions in block indices (0 and len(blocks) included) and
-    the optimal cost.  Segment costs come from centred prefix sums in
-    O(1); the monotone optimal predecessor makes the whole DP
-    O(k N log N).  Cost ties resolve to the smallest predecessor index
-    at every table cell, so the result is deterministic.  Raises
-    InfeasibleKError when k exceeds the block count N.
-    """
-    return SegmentTable(blocks).solve(k)
-
-
 class Segmenter:
     """One order's group reduction and pooling, cut at any k on demand.
 
-    `discover` builds one and cuts it once with `segment_dp`; a caller
-    that needs many k for the same order keeps one, whose DP table grows
-    to the largest k asked and answers the smaller ones from its rows.
+    The pooled blocks are the arrays `end`, `weight`, `mean` and `sse`
+    of `pool_violators`; one DP table over them grows to the largest k
+    asked and answers the smaller ones from its rows.
     """
 
     def __init__(self, g: Graph, order: VertexOrder):
@@ -295,18 +272,12 @@ class Segmenter:
             raise ValueError("source covers every vertex; nothing to segment")
         a, x, internal, self._source_w = group_arrays(g, order)
         self.order = order
-        self.blocks = pav_pool(zip(a.tolist(), x.tolist()))
-        self._block_w = np.array([b.weight for b in self.blocks])
-        self._block_m = np.array([b.mean for b in self.blocks])
-        self._block_sse = np.array([b.sse for b in self.blocks])
-        self._point_end = np.array([b.end for b in self.blocks], dtype=np.int64)
+        self.end, self.weight, self.mean, self.sse = pool_violators(a, x)
         self._internal_cum = np.concatenate([[0.0], np.cumsum(internal)])
-        self._table: SegmentTable | None = None
+        self._table = SegmentTable(self.weight, self.mean)
 
     def discover(self, k: int) -> CommunitySequence:
         """The optimal k-sequence, as `discover(g, order, k)` returns it."""
-        if self._table is None:
-            self._table = SegmentTable(self.blocks)
         return self.sequence(self._table.solve(k)[0])
 
     def sequence(self, cuts: Sequence[int]) -> CommunitySequence:
@@ -317,8 +288,7 @@ class Segmenter:
         """
         s = self.order.source_size
         k = len(cuts) - 1
-        block_w, block_m = self._block_w, self._block_m
-        point_end = self._point_end
+        block_w, block_m, point_end = self.weight, self.mean, self.end
 
         breakpoints = [s] + [s + int(point_end[t - 1]) for t in cuts[1:]]
         centroids: list[float] = []
@@ -327,7 +297,7 @@ class Segmenter:
             b0, b1 = cuts[j], cuts[j + 1]
             w = float(block_w[b0:b1].sum())
             mu = float((block_w[b0:b1] * block_m[b0:b1]).sum() / w)
-            pooled = float(self._block_sse[b0:b1].sum()
+            pooled = float(self.sse[b0:b1].sum()
                            + (block_w[b0:b1] * (block_m[b0:b1] - mu) ** 2).sum())
             p0 = int(point_end[b0 - 1]) if b0 > 0 else 0
             p1 = int(point_end[b1 - 1])
@@ -364,10 +334,11 @@ class Segmenter:
 def discover(g: Graph, order: VertexOrder, k: int) -> CommunitySequence:
     """Optimal k nested communities of strictly decreasing density.
 
-    Pipeline: group reduction, violator pooling, k-segmentation DP.
-    total_score is the full objective: the DP cost plus the pooled
-    within-block SSE plus the within-group variances, identical to
-    scoring the resulting breakpoints directly from the graph.
+    Pipeline: group reduction, violator pooling, k-segmentation DP, as
+    `Segmenter(g, order).discover(k)`.  total_score is the full
+    objective: the DP cost plus the pooled within-block SSE plus the
+    within-group variances, identical to scoring the resulting
+    breakpoints directly from the graph.
 
     Raises InfeasibleKError when k exceeds the pooled block count, the
     largest k the DP answers (not an exact maximum: a k-segmentation of
@@ -376,9 +347,7 @@ def discover(g: Graph, order: VertexOrder, k: int) -> CommunitySequence:
     centroids or community densities fail to decrease strictly (a
     source of 2+ vertices, or a float tie between pooled blocks).
     """
-    seg = Segmenter(g, order)
-    cuts, _ = segment_dp(seg.blocks, k)
-    return seg.sequence(cuts)
+    return Segmenter(g, order).discover(k)
 
 
 def score_sequence(g: Graph, order: VertexOrder,

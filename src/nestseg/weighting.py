@@ -70,7 +70,8 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
 
     Raises
     ------
-    ValueError if S is empty or restart is outside (0, 1).
+    ValueError if S is empty, restart is outside (0, 1), tol is not a
+    number >= 0 or max_iter is below 1.
     ConvergenceError if ``max_iter`` iterations do not reach ``tol``.
     """
     n = g.num_vertices
@@ -80,6 +81,10 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
         raise ValueError(f"source ids out of range 0..{n - 1}")
     if not (0.0 < restart < 1.0):
         raise ValueError(f"restart must be in (0, 1), got {restart}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     # symmetric weight matrix; rows index the walker's current vertex.
     # copy=True: sort_indices works in place, and g's arrays are read-only

@@ -15,15 +15,17 @@ import numpy as np
 import pytest
 
 from nestseg.graph_core import Graph, load_edge_list_path
-from nestseg.ordering import (VertexOrder, degree_order, densest_prefix,
-                              hops_levels, pagerank_order, sort_vertices)
+from nestseg.ordering import (VertexOrder, degree_order, hops_levels,
+                              pagerank_order, sort_vertices)
 from nestseg.oracle import (brute_force_antitonic_fit,
                             brute_force_densest_subgraph,
                             brute_force_segmentation, check_peel_lower_bound,
                             check_peel_upper_bound, check_prop_density,
-                            induced_density, random_graph, sample_peel_bounds)
-from nestseg.segmentation import (InfeasibleKError, discover, group_arrays,
-                                  pav_pool, score_sequence, segment_dp, Block)
+                            densest_prefix, induced_density, random_graph,
+                            sample_peel_bounds)
+from nestseg.segmentation import (InfeasibleKError, SegmentTable, Segmenter,
+                                  discover, group_arrays, pool_violators,
+                                  score_sequence)
 from nestseg.weighting import (WeightingScheme, apply_weighting,
                                personalized_pagerank)
 
@@ -51,14 +53,14 @@ def test_criterion_01_dp_matches_exhaustive_segmentation():
         means = sorted({rng.randint(0, 60) / 4.0 for _ in range(n)},
                        reverse=True) or [1.0]
         weights = [float(rng.randint(1, 9)) for _ in means]
-        sses = [rng.randint(0, 8) / 4.0 for _ in means]
-        blocks = [Block(i, i + 1, w, m, s)
-                  for i, (m, w, s) in enumerate(zip(means, weights, sses))]
-        k = rng.randint(1, min(4, len(blocks)))
-        _, cost = segment_dp(blocks, k)
-        # between-block cost only; block-internal sse is carried separately
-        _, ref = brute_force_segmentation(
-            [(b.weight, b.mean) for b in blocks], k)
+        # block-internal sse never reaches the DP; its draws stay so the
+        # instances stay the same
+        for _ in means:
+            rng.randint(0, 8)
+        k = rng.randint(1, min(4, len(means)))
+        _, cost = SegmentTable(np.array(weights), np.array(means)).solve(k)
+        # between-block cost only
+        _, ref = brute_force_segmentation(list(zip(weights, means)), k)
         worst = max(worst, abs(cost - ref))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 5.0
@@ -76,20 +78,19 @@ def test_criterion_02_pooling_matches_exhaustive_fit():
         n = rng.randint(1, 12)
         pts = [(float(rng.randint(1, 6)), rng.randint(0, 16) / 4.0)
                for _ in range(n)]
-        blocks = pav_pool(pts)
-        sse = sum(b.sse for b in blocks)
+        end, weight, mean, sse = pool_violators([w for w, _ in pts],
+                                                [x for _, x in pts])
         _, ref = brute_force_antitonic_fit(pts)
-        worst = max(worst, abs(sse - ref))
+        worst = max(worst, abs(sum(sse.tolist()) - ref))
         # dyadic inputs make every sum exact, so conservation is equality
-        if sum(b.weight for b in blocks) != sum(w for w, _ in pts):
+        if sum(weight.tolist()) != sum(w for w, _ in pts):
             exact_weight = False
-        span_moments = [sum(w * x for w, x in pts[b.start:b.end])
-                        for b in blocks]
+        spans = list(zip([0] + end[:-1].tolist(), end.tolist()))
+        span_moments = [sum(w * x for w, x in pts[a:b]) for a, b in spans]
         if sum(span_moments) != sum(w * x for w, x in pts):
             exact_moment = False
-        for b, moment in zip(blocks, span_moments):
-            span_weight = sum(w for w, _ in pts[b.start:b.end])
-            if b.mean != moment / span_weight:
+        for (a, b), m, moment in zip(spans, mean.tolist(), span_moments):
+            if m != moment / sum(w for w, _ in pts[a:b]):
                 exact_means = False
     ok = worst <= 1e-9 and exact_weight and exact_moment and exact_means
     report(2, "adjacent-violator pooling equals exhaustive fit",
@@ -389,9 +390,8 @@ def test_criterion_11_scales_to_a_million_edges():
     pr = personalized_pagerank(g, {source})
     wg = apply_weighting(g, pr, WeightingScheme.SUM)
     order = sort_vertices(wg, {source})
-    counts, dens, _, _ = group_arrays(wg, order)
-    blocks = pav_pool(zip(counts.tolist(), dens.tolist()))
-    seq = discover(wg, order, 5)
+    seg = Segmenter(wg, order)
+    seq = seg.discover(5)
     elapsed = time.perf_counter() - start
 
     d = seq.community_densities
@@ -399,4 +399,4 @@ def test_criterion_11_scales_to_a_million_edges():
         a > b for a, b in zip(d, d[1:]))
     report(11, "100k-vertex / 1M-edge pipeline under 30 seconds",
            ok, f"{elapsed:.1f}s total ({pr.iterations} walk iterations, "
-               f"{len(blocks)} pooled blocks, k=5)")
+               f"{len(seg.end)} pooled blocks, k=5)")

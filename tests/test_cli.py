@@ -270,6 +270,22 @@ def test_weights_at_the_bound_run(tmp_path, capsys, argv):
     assert err.startswith("error: line 1: weight too large")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_walk_tolerance_that_cannot_converge_exits_one(capsys, tol):
+    # rejected before the walk runs, not after 10,000 iterations
+    code, out, err = run_cli(capsys, "run", "--input", KARATE_PATH, f"--tol={tol}")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: tol must be >= 0, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("tol", ["0", "inf"])
+def test_walk_tolerance_at_the_ends_of_its_range_runs(capsys, tol):
+    code, out, err = run_cli(capsys, "run", "--input", KARATE_PATH, f"--tol={tol}")
+    assert code == 0, err
+    assert len(json.loads(out)["communities"]) == 2
+
+
 def test_unknown_source_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "--input", KARATE_PATH,
                            "-k", "2", "--source", "nope")

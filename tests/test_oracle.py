@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nestseg.graph_core import Graph
@@ -18,8 +19,7 @@ from nestseg.oracle import (DEFAULT_BUDGET, OracleBudget,
                             exact_segment_cost, exact_segmentation,
                             induced_density, random_graph,
                             reference_segment_dp, sample_peel_bounds)
-from nestseg.segmentation import (Block, InfeasibleKError, discover,
-                                  score_sequence)
+from nestseg.segmentation import InfeasibleKError, discover, score_sequence
 
 from conftest import (dyadic_graph, edge_list, k4_pendant, neighbor_weights,
                       path_graph, triangle_graph)
@@ -61,8 +61,8 @@ def test_dp_oracles_match_exhaustive_segmentation():
         assert float(exact) == pytest.approx(cost, abs=1e-9)
         assert exact_segment_cost(points, exact_cuts) == exact
         assert exact_segment_cost(points, cuts) == exact
-        blocks = [Block(i, i + 1, w, m, 0.0) for i, (w, m) in enumerate(points)]
-        ref_cuts, ref = reference_segment_dp(blocks, k)
+        ref_cuts, ref = reference_segment_dp(np.array(weights),
+                                             np.array(means), k)
         assert ref == pytest.approx(cost, abs=1e-9)
         assert exact_segment_cost(points, ref_cuts) == exact
 
@@ -71,12 +71,12 @@ def test_dp_oracles_hand_case_and_bad_k():
     points = [(1.0, 3.0), (1.0, 2.0), (1.0, 1.0)]
     # symmetric optimum: both take the smallest predecessor
     assert exact_segmentation(points, 2) == ([0, 1, 3], Fraction(1, 2))
-    blocks = [Block(i, i + 1, w, m, 0.0) for i, (w, m) in enumerate(points)]
-    assert reference_segment_dp(blocks, 2) == ([0, 1, 3], 0.5)
+    weights, means = np.ones(3), np.array([3.0, 2.0, 1.0])
+    assert reference_segment_dp(weights, means, 2) == ([0, 1, 3], 0.5)
     with pytest.raises(ValueError):
         exact_segmentation(points, 4)
     with pytest.raises(InfeasibleKError):
-        reference_segment_dp(blocks, 4)
+        reference_segment_dp(weights, means, 4)
 
 
 def test_antitonic_oracle_hand_case():

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestseg.graph_core import Graph
-from nestseg.ordering import (VertexOrder, degree_order, densest_prefix,
-                              hops_levels, pagerank_order, sort_vertices)
-from nestseg.oracle import reference_peel
+from nestseg.ordering import (VertexOrder, degree_order, hops_levels,
+                              pagerank_order, sort_vertices)
+from nestseg.oracle import densest_prefix, reference_peel
 from nestseg.weighting import (WeightingScheme, apply_weighting,
                                personalized_pagerank)
 
@@ -179,7 +179,8 @@ def test_vertex_order_validation():
 def test_positions_and_source():
     order = VertexOrder(sequence=[2, 0, 1], source_size=1)
     # positions() is indexed by vertex id
-    assert order.positions() == [1, 2, 0]
+    assert order.positions().tolist() == [1, 2, 0]
+    assert order.positions().dtype == np.int64
     assert order.source() == {2}
 
 

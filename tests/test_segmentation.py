@@ -17,10 +17,10 @@ from nestseg.oracle import (brute_force_antitonic_fit,
                             brute_force_segmentation, cross_pair_count,
                             exact_segment_cost, exact_segmentation,
                             random_graph, reference_segment_dp)
-from nestseg.segmentation import (Block, DensityMonotonicityError,
+from nestseg.segmentation import (DensityMonotonicityError,
                                   InfeasibleKError, Segmenter, SegmentTable,
-                                  discover, group_arrays, pav_pool,
-                                  score_sequence, segment_dp)
+                                  discover, group_arrays, pool_violators,
+                                  score_sequence)
 from nestseg.weighting import (WeightingScheme, apply_weighting,
                                personalized_pagerank)
 
@@ -66,39 +66,56 @@ def test_group_sequence_requires_nonempty_prefix():
 
 # ------------------------------------------------------------------ pooling
 
+def _pool(points):
+    """pool_violators of (weight, value) pairs."""
+    return pool_violators([w for w, _ in points], [v for _, v in points])
+
+
 def test_pool_merges_rise():
-    blocks = pav_pool([(1, 3.0), (1, 1.0), (1, 2.0)])
-    assert [(b.start, b.end, b.weight, b.mean) for b in blocks] == [
-        (0, 1, 1.0, 3.0), (1, 3, 2.0, 1.5)]
-    assert blocks[1].sse == pytest.approx(0.5)
+    end, weight, mean, sse = _pool([(1, 3.0), (1, 1.0), (1, 2.0)])
+    assert end.tolist() == [1, 3]
+    assert weight.tolist() == [1.0, 2.0]
+    assert mean.tolist() == [3.0, 1.5]
+    assert sse[0] == 0.0 and sse[1] == pytest.approx(0.5)
+    assert end.dtype == np.int64 and weight.dtype == np.float64
 
 
 def test_pool_keeps_strict_descent():
-    blocks = pav_pool([(1, 3.0), (2, 2.0), (3, 1.0)])
-    assert len(blocks) == 3
-    assert all(b.sse == 0.0 for b in blocks)
+    end, _, _, sse = _pool([(1, 3.0), (2, 2.0), (3, 1.0)])
+    assert end.tolist() == [1, 2, 3]
+    assert sse.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_pool_merges_equal_means():
-    blocks = pav_pool([(1, 2.0), (1, 2.0)])
-    assert len(blocks) == 1
-    assert blocks[0].mean == pytest.approx(2.0)
-    assert blocks[0].sse == pytest.approx(0.0)
+    end, _, mean, sse = _pool([(1, 2.0), (1, 2.0)])
+    assert end.tolist() == [2]
+    assert mean[0] == pytest.approx(2.0)
+    assert sse[0] == pytest.approx(0.0)
 
 
 def test_pool_merges_means_that_tie_after_rounding():
     # equal values whose accumulated sums differ in the last bit still
     # report equal means, so they must end in one block
     m = 0.13043478260831484
-    blocks = pav_pool([(w, m) for w in range(1, 7)])
-    assert [(b.start, b.end, b.mean) for b in blocks] == [(0, 6, m)]
+    end, _, mean, _ = _pool([(w, m) for w in range(1, 7)])
+    assert end.tolist() == [6]
+    assert mean.tolist() == [m]
 
 
 def test_pool_single_block_for_increasing_input():
-    blocks = pav_pool([(1, 1.0), (1, 2.0), (1, 3.0)])
-    assert len(blocks) == 1
-    assert blocks[0].mean == pytest.approx(2.0)
-    assert blocks[0].sse == pytest.approx(2.0)
+    end, _, mean, sse = _pool([(1, 1.0), (1, 2.0), (1, 3.0)])
+    assert end.tolist() == [3]
+    assert mean[0] == pytest.approx(2.0)
+    assert sse[0] == pytest.approx(2.0)
+
+
+def test_pool_rejects_nonpositive_weight():
+    with pytest.raises(ValueError, match="point 1: weight must be positive"):
+        _pool([(1, 1.0), (0, 2.0)])
+
+
+def test_pool_of_no_points_is_empty():
+    assert all(len(a) == 0 for a in pool_violators([], []))
 
 
 @st.composite
@@ -111,67 +128,58 @@ def weighted_points(draw, max_len=12):
 @settings(max_examples=150, deadline=None)
 @given(weighted_points())
 def test_pool_matches_brute_force_fit(points):
-    blocks = pav_pool(points)
-    # strictly decreasing means, contiguous cover
-    means = [b.mean for b in blocks]
-    assert all(a > b for a, b in zip(means, means[1:]))
-    assert blocks[0].start == 0 and blocks[-1].end == len(points)
-    assert all(a.end == b.start for a, b in zip(blocks, blocks[1:]))
+    end, weight, mean, sse = _pool(points)
+    # strictly decreasing means; ends strictly increase to the last point
+    assert all(a > b for a, b in zip(mean, mean[1:]))
+    assert (np.diff(end) > 0).all() and end[0] > 0 and end[-1] == len(points)
     # conservation of weight and first moment
-    assert sum(b.weight for b in blocks) == pytest.approx(
-        sum(w for w, _ in points), abs=1e-12)
-    assert sum(b.weight * b.mean for b in blocks) == pytest.approx(
+    assert weight.sum() == pytest.approx(sum(w for w, _ in points), abs=1e-12)
+    assert (weight * mean).sum() == pytest.approx(
         sum(w * x for w, x in points), abs=1e-9)
     # minimal summed deviation, matching the exhaustive fit
     fitted, best_sse = brute_force_antitonic_fit(points)
-    got_sse = sum(b.sse for b in blocks)
-    assert got_sse == pytest.approx(best_sse, abs=1e-9)
-    flat = []
-    for b in blocks:
-        flat.extend([b.mean] * (b.end - b.start))
-    assert flat == pytest.approx(fitted, abs=1e-9)
+    assert sse.sum() == pytest.approx(best_sse, abs=1e-9)
+    flat = np.repeat(mean, np.diff(end, prepend=0))
+    assert flat.tolist() == pytest.approx(fitted, abs=1e-9)
 
 
 # ------------------------------------------------------- dynamic programming
 
-def _point_blocks(means, weights=None):
-    weights = weights or [1.0] * len(means)
-    return [Block(i, i + 1, w, m, 0.0)
-            for i, (m, w) in enumerate(zip(means, weights))]
+def _solve(weights, means, k):
+    """A fresh table's answer."""
+    return SegmentTable(weights, means).solve(k)
 
 
 def test_dp_trivial_cases():
-    blocks = _point_blocks([3.0, 2.0, 1.0])
-    assert segment_dp(blocks, 3) == ([0, 1, 2, 3], pytest.approx(0.0))
-    cuts, cost = segment_dp(blocks, 1)
+    means = [3.0, 2.0, 1.0]
+    assert _solve([1.0] * 3, means, 3) == ([0, 1, 2, 3], pytest.approx(0.0))
+    cuts, cost = _solve([1.0] * 3, means, 1)
     assert cuts == [0, 3]
     assert cost == pytest.approx(2.0)  # sse of {3,2,1} around 2
 
 
 def test_dp_tie_prefers_earliest_cut():
-    blocks = _point_blocks([3.0, 2.0, 1.0])
-    cuts, cost = segment_dp(blocks, 2)
+    cuts, cost = _solve([1.0] * 3, [3.0, 2.0, 1.0], 2)
     assert cost == pytest.approx(0.5)
     assert cuts == [0, 1, 3]  # symmetric optimum; earliest boundary wins
 
 
 def test_dp_respects_weights():
-    blocks = _point_blocks([4.0, 3.0, 0.0], weights=[1.0, 10.0, 1.0])
-    cuts, cost = segment_dp(blocks, 2)
+    weights, means = [1.0, 10.0, 1.0], [4.0, 3.0, 0.0]
+    cuts, cost = _solve(weights, means, 2)
     # heavy middle point pairs with whichever side costs less
-    _, ref = brute_force_segmentation([(b.weight, b.mean) for b in blocks], 2)
+    _, ref = brute_force_segmentation(list(zip(weights, means)), 2)
     assert cost == pytest.approx(ref, abs=1e-12)
 
 
 def test_dp_rejects_bad_k():
-    blocks = _point_blocks([2.0, 1.0])
     with pytest.raises(InfeasibleKError) as exc:
-        segment_dp(blocks, 3)
+        _solve([1.0, 1.0], [2.0, 1.0], 3)
     assert exc.value.k == 3
     assert exc.value.max_feasible == 2
     assert "max feasible" in str(exc.value)
     with pytest.raises(ValueError):
-        segment_dp(blocks, 0)
+        _solve([1.0, 1.0], [2.0, 1.0], 0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -183,12 +191,11 @@ def test_dp_matches_brute_force(seed, n, k):
         means = [1.0]
     k = min(k, len(means))
     weights = [rng.randint(1, 5) * 1.0 for _ in means]
-    blocks = _point_blocks(means, weights)
-    cuts, cost = segment_dp(blocks, k)
+    cuts, cost = _solve(weights, means, k)
     _, ref_cost = brute_force_segmentation(list(zip(weights, means)), k)
     assert cost == pytest.approx(ref_cost, abs=1e-9)
     assert len(cuts) == k + 1
-    assert cuts[0] == 0 and cuts[-1] == len(blocks)
+    assert cuts[0] == 0 and cuts[-1] == len(means)
     # the returned cuts must themselves achieve the optimal cost
     recomputed = 0.0
     for a, b in zip(cuts, cuts[1:]):
@@ -199,10 +206,12 @@ def test_dp_matches_brute_force(seed, n, k):
     assert recomputed == pytest.approx(ref_cost, abs=1e-9)
 
 
-def _random_blocks(rng: random.Random, n: int, kind: int) -> list[Block]:
-    """Strictly decreasing means of one of three kinds: evenly spaced with
-    equal weights (exact cost ties everywhere), dyadic with integer
-    weights, or random floats over a random scale."""
+def _random_blocks(rng: random.Random, n: int, kind: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, means) of blocks whose means strictly decrease, of one of
+    three kinds: evenly spaced with equal weights (exact cost ties
+    everywhere), dyadic with integer weights, or random floats over a
+    random scale."""
     if kind == 0:
         step, w = rng.choice([0.25, 1.0, 3.0]), rng.choice([0.5, 1.0, 2.0])
         means = [(n - i) * step for i in range(n)]
@@ -214,7 +223,7 @@ def _random_blocks(rng: random.Random, n: int, kind: int) -> list[Block]:
         scale = 10.0 ** rng.uniform(-6, 6)
         means = sorted({rng.random() * scale for _ in range(n)}, reverse=True)
         weights = [rng.uniform(0.01, 10.0) for _ in means]
-    return _point_blocks(means, weights)
+    return np.array(weights), np.array(means)
 
 
 def test_dp_bit_identical_to_full_scan_reference():
@@ -222,25 +231,47 @@ def test_dp_bit_identical_to_full_scan_reference():
     # with the same centred costs it must land on the same first minimum
     rng = random.Random(2024)
     for trial in range(150):
-        blocks = _random_blocks(rng, rng.randint(1, 400), kind=trial % 3)
-        k = rng.randint(1, min(12, len(blocks)))
-        assert segment_dp(blocks, k) == reference_segment_dp(blocks, k), trial
+        w, m = _random_blocks(rng, rng.randint(1, 400), kind=trial % 3)
+        k = rng.randint(1, min(12, len(w)))
+        assert _solve(w, m, k) == reference_segment_dp(w, m, k), trial
+
+
+def test_dp_bit_identical_to_full_scan_on_real_pools():
+    # the pools of real orders: PPR-derived weights in a narrow band,
+    # unit and dyadic weights, many exact ties
+    rng = random.Random(808)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(2, 60)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.6, 1.0]),
+                         weighted=rng.random() < 0.5, connected=True)
+        S = {rng.randrange(n)}
+        pr = personalized_pagerank(g, S)
+        for scheme in WeightingScheme:
+            wg = apply_weighting(g, pr, scheme)
+            seg = Segmenter(wg, sort_vertices(wg, S))
+            for k in range(1, min(8, len(seg.weight)) + 1):
+                assert (SegmentTable(seg.weight, seg.mean).solve(k)
+                        == reference_segment_dp(seg.weight, seg.mean, k)), (n, k)
+                checked += 1
+    assert checked > 500, checked
 
 
 def test_one_table_answers_every_k():
     rng = random.Random(7)
     for trial in range(30):
-        blocks = _random_blocks(rng, rng.randint(1, 200), kind=trial % 3)
-        top = min(12, len(blocks))
-        table = SegmentTable(blocks)
-        # grow to the top first, then ask the smaller k in a shuffled order
-        assert table.solve(top) == segment_dp(blocks, top)
+        w, m = _random_blocks(rng, rng.randint(1, 200), kind=trial % 3)
+        top = min(12, len(w))
+        table = SegmentTable(w, m)
+        # grow to the top first, then ask the smaller k in a shuffled
+        # order; each answer equals a fresh table's
+        assert table.solve(top) == _solve(w, m, top)
         ks = list(range(1, top + 1))
         rng.shuffle(ks)
         for k in ks:
-            assert table.solve(k) == segment_dp(blocks, k), (trial, k)
+            assert table.solve(k) == _solve(w, m, k), (trial, k)
         with pytest.raises(InfeasibleKError):
-            table.solve(len(blocks) + 1)
+            table.solve(len(w) + 1)
 
 
 def test_segmenter_matches_discover_at_every_k():
@@ -265,9 +296,8 @@ def test_dp_scales_to_fifty_thousand_blocks():
     n, k = 50_000, 8
     means = np.sort(rng.random(n) * 1e-3 + np.linspace(1.0, 0.0, n))[::-1]
     weights = rng.integers(1, 1000, size=n).astype(float)
-    blocks = _point_blocks(means.tolist(), weights.tolist())
     start = time.perf_counter()
-    cuts, cost = segment_dp(blocks, k)
+    cuts, cost = _solve(weights, means, k)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"{elapsed:.2f}s"
     assert len(cuts) == k + 1 and cuts[0] == 0 and cuts[-1] == n
@@ -296,7 +326,7 @@ def test_dp_exact_on_narrow_band():
         weights = [rng.uniform(0.5e5, 2e5) for _ in means]
         points = list(zip(weights, means))
         k = rng.randint(2, 6)
-        cuts, _ = segment_dp(_point_blocks(means, weights), k)
+        cuts, _ = _solve(weights, means, k)
         _, best = exact_segmentation(points, k)
         got = exact_segment_cost(points, cuts)
         assert abs(got - best) <= 1e-9 * best, (trial, float(got / best))

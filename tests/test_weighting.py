@@ -87,6 +87,19 @@ def test_invalid_arguments_rejected():
         personalized_pagerank(g, {99})
 
 
+def test_walk_parameters_that_cannot_converge_rejected_up_front():
+    g = path_graph(3)
+    for tol in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            personalized_pagerank(g, {0}, tol=tol)
+    for max_iter in (0, -5):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            personalized_pagerank(g, {0}, max_iter=max_iter)
+    # the edges of the valid range still run: inf stops after one step
+    assert personalized_pagerank(g, {0}, tol=math.inf).iterations == 1
+    assert personalized_pagerank(g, {0}, max_iter=1, tol=math.inf).iterations == 1
+
+
 def test_nonconvergence_raises_with_residual():
     g = path_graph(6)
     with pytest.raises(ConvergenceError) as exc:

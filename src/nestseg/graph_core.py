@@ -34,7 +34,9 @@ class Graph:
     a_i -> b_i and then b_i -> a_i, and a stable sort by row keeps that
     order within each row.  The peel, the densest prefix and the DOT
     edge list read rows in this order, so it pins their float sums and
-    tie-breaks, hence the reports.
+    tie-breaks, hence the reports.  ``with_weights`` gives the graph
+    that the constructor builds from ``us``, ``vs`` and new weights
+    without building it again.
 
     Weights are finite, nonnegative and at most MAX_WEIGHT (2**400);
     self-loops, unknown ids and duplicate edges (either orientation) are
@@ -57,15 +59,19 @@ class Graph:
         _check_edges(self.labels, a, b, w)
 
         src = np.column_stack((a, b)).reshape(-1)
-        # the stable order by row: the keys are distinct, so numpy's default
-        # sort, about twice as fast as its stable one here, gives it (and
-        # they are exact while n * 2m < 2**63)
-        rows = np.argsort(src * len(src) + np.arange(len(src)))
+        counts = np.bincount(src, minlength=n)
+        # the stable order by row, without an argsort: sort the distinct
+        # keys row * 2m + position (exact while n * 2m < 2**63) and take
+        # the rows, now ascending, off again
+        rows = src * len(src)
+        rows += np.arange(len(src))
+        rows.sort()
+        src = np.repeat(np.arange(n), counts)
+        rows -= src * len(src)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        np.cumsum(counts, out=self.indptr[1:])
         self.indices = np.column_stack((b, a)).reshape(-1)[rows]
         self.weights = np.repeat(w, 2)[rows]
-        src = src[rows]
         upper = src < self.indices
         self.us, self.vs, self.ws = src[upper], self.indices[upper], self.weights[upper]
         for arr in (self.indptr, self.indices, self.weights, self.us, self.vs, self.ws):
@@ -102,6 +108,46 @@ class Graph:
         """Return the (u, v, w) edge arrays, u < v, in row order."""
         return self.us, self.vs, self.ws
 
+    def with_weights(self, weights) -> "Graph":
+        """``Graph(self.labels, self.us, self.vs, weights)``, without the
+        rebuild: the same labels and arrays, or the same error.
+
+        By the construction rule, row v of that graph lists v's lower
+        neighbors (edges i with vs[i] == v) in edge order, which is
+        ascending id because ``us`` ascends, then its upper neighbors
+        (us[i] == v) in edge order, which is this graph's row order.  So
+        the rows follow from one sort of the keys vs * m + i, and
+        ``indptr``, ``us``, ``vs`` and the labels are shared.  Only the
+        weights are checked; the edges passed every other check already.
+        """
+        w = np.array(weights, dtype=np.float64)
+        n, m = self.num_vertices, len(self.us)
+        if len(w) != m:
+            raise ValueError("edge id and weight arrays differ in length")
+        _raise_first_failure(_weight_checks(w))
+        lower = np.bincount(self.vs, minlength=n)  # lower neighbors per row
+        key = self.vs * m  # exact, as n * 2m < 2**63 held at construction
+        key += np.arange(m)
+        key.sort()
+        rows = np.repeat(np.arange(n), lower)
+        key -= rows * m  # the edges of the rows' lower parts, in order
+        below = np.cumsum(lower)  # lower neighbors in rows 0..v
+        # the j-th lower slot is j plus the upper neighbors of the rows
+        # before its own; edge i's upper slot is i plus the lower
+        # neighbors of rows 0..us[i]
+        low = (self.indptr[:-1] - below + lower)[rows] + np.arange(m)
+        up = below[self.us] + np.arange(m)
+        g = Graph.__new__(Graph)
+        g.labels, g.label_index, g.indptr = self.labels, self.label_index, self.indptr
+        g.us, g.vs, g.ws = self.us, self.vs, w
+        g.indices = np.empty(2 * m, dtype=np.int64)
+        g.indices[low], g.indices[up] = self.us[key], self.vs
+        g.weights = np.empty(2 * m, dtype=np.float64)
+        g.weights[low], g.weights[up] = w[key], w
+        for arr in (g.indices, g.weights, g.ws):
+            arr.flags.writeable = False
+        return g
+
 
 # The largest edge weight accepted.  The duplicate check's int64 codes
 # lo * n + hi need n**2 < 2**63, so there are fewer than 2**63 vertex
@@ -133,15 +179,28 @@ def _check_edges(labels: list[str], a: np.ndarray, b: np.ndarray,
         # a stable sort puts each repeat after the edge it repeats
         by_code = np.argsort(codes, kind="stable")
         repeat[by_code[1:][codes[by_code[1:]] == codes[by_code[:-1]]]] = True
-    checks = [
+    _raise_first_failure([
         ((lo < 0) | (hi >= n), lambda i: f"unknown vertex id in ({a[i]},{b[i]})"),
         (a == b, lambda i: f"self-loop on {labels[a[i]]!r}"),
+        *_weight_checks(w),
+        (repeat, lambda i: f"duplicate edge ({labels[a[i]]!r},{labels[b[i]]!r})"),
+    ])
+
+
+def _weight_checks(w: np.ndarray) -> list:
+    """The per-edge weight checks, in order: finite, nonnegative, at most
+    MAX_WEIGHT; each a (failing mask, message of edge i) pair."""
+    return [
         (~np.isfinite(w), lambda i: f"non-finite weight {float(w[i])!r}"),
         (w < 0, lambda i: f"negative weight {float(w[i])!r}"),
         (w > MAX_WEIGHT,
          lambda i: f"weight too large {float(w[i])!r} (limit 2**400)"),
-        (repeat, lambda i: f"duplicate edge ({labels[a[i]]!r},{labels[b[i]]!r})"),
     ]
+
+
+def _raise_first_failure(checks: list) -> None:
+    """Raise GraphFormatError for the least edge that fails a check, with
+    the message of the first check it fails."""
     found = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(checks)
              if bad.any()]
     if found:
@@ -258,6 +317,16 @@ def _gather(buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarra
     return out
 
 
+def _pack_bits(words: np.ndarray) -> int | None:
+    """Position width b of the packed label keys (word << b) | position,
+    b = (t - 1).bit_length() for t label rows; None when a label takes
+    more than one word or a key would reach 2**63."""
+    bits = (len(words) - 1).bit_length()
+    if words.shape[1] == 1 and int(words.max()) < 1 << (63 - bits):
+        return bits
+    return None
+
+
 def _parse_regular(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray] | None:
     """(labels, ids, weights) of a regular edge-list file, or None.
 
@@ -304,8 +373,17 @@ def _parse_regular(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray] | No
     del buf, bounds, starts, sizes
     # np.unique(return_index=True) would sort stably, which takes twice as
     # long; a label's first appearance is the least of its positions
-    perm = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
-    words = words[perm]
+    bits = _pack_bits(words)
+    if bits is None:
+        perm = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
+        words = words[perm]
+    else:
+        # sorting the keys themselves is several times faster than an
+        # argsort, and each key carries its word and its position
+        key = words[:, 0].view(np.int64) << bits
+        key |= np.arange(len(key))
+        key.sort()
+        perm, words = key & ((1 << bits) - 1), (key >> bits).view(np.uint64)[:, None]
     new = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
     groups = np.flatnonzero(new)  # where each label's run starts
     order = np.argsort(np.minimum.reduceat(perm, groups))

@@ -64,15 +64,23 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     below tau has its current entry, so the least current entry is the
     global (degree, id) minimum whatever tau is: the order does not
     depend on tau.
+
+    Removed and source vertices hold NaN as their degree, and a removal
+    skips such neighbors instead of decrementing them.  The later of an
+    edge's two visits always finds its other end removed, so at least
+    half of all neighbor visits are skipped; the order is unchanged.
     """
     src = sorted(S)
     # memoryviews read the CSR arrays as Python ints and floats without
     # holding a list of all 2m of them
     ptr, nbrs, wts = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
     deg = [sum(wts[a:b]) for a, b in zip(ptr, ptr[1:])]
-    # removed and source vertices read NaN: a decrement keeps them NaN,
-    # NaN <= tau is false, no key equals NaN, and np.partition sorts NaN
-    # last; a live degree may be inf
+    # removed and source vertices hold the math.nan object, and no other
+    # NaN is ever stored: live degrees stay finite, since every weight is
+    # at most 2**400 and a row sums fewer than 2**63 of them, so a
+    # decrement never makes one.  Hence `deg[y] is nan` tells a removed
+    # neighbor, which is skipped; no key equals NaN, and np.partition
+    # sorts NaN last
     nan = math.nan
     for v in src:
         deg[v] = nan
@@ -98,7 +106,10 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
         remaining -= 1
         a, b = ptr[x], ptr[x + 1]
         for y, w in zip(nbrs[a:b], wts[a:b]):
-            d = deg[y] - w
+            d = deg[y]
+            if d is nan:
+                continue
+            d -= w
             deg[y] = d
             if d <= tau:
                 push(heap, (d, y))

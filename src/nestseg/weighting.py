@@ -81,10 +81,6 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
         raise ValueError(f"source ids out of range 0..{n - 1}")
     if not (0.0 < restart < 1.0):
         raise ValueError(f"restart must be in (0, 1), got {restart}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     # symmetric weight matrix; rows index the walker's current vertex.
     # copy=True: sort_indices works in place, and g's arrays are read-only
@@ -106,6 +102,10 @@ def _power_iteration(step_T, dangling: np.ndarray, src: list[int],
                      restart: float, tol: float, max_iter: int) -> PageRankVector:
     """Iterate the restarting walk with operator step_T from the restart
     distribution on src until the L1 change drops to tol."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     r_vec = np.zeros(len(dangling))
     r_vec[src] = 1.0 / len(src)
     p = r_vec.copy()
@@ -127,8 +127,9 @@ def apply_weighting(g: Graph, pr: PageRankVector,
                     scheme: WeightingScheme) -> Graph:
     """Re-weight every edge of g from the walk scores; edge set unchanged.
 
-    The result is built from g's u < v edge arrays, so its neighbor
-    order follows that edge order rather than g's rows.
+    The result is ``g.with_weights(ws)``, the graph that the constructor
+    builds from g's u < v edge arrays, so its neighbor order follows that
+    edge order rather than g's rows.
     """
     us, vs, ws = g.edge_arrays()
     if scheme is not WeightingScheme.ORIGINAL:
@@ -145,4 +146,4 @@ def apply_weighting(g: Graph, pr: PageRankVector,
             ws = np.minimum(pu, pv)
         else:  # pragma: no cover
             raise ValueError(f"unhandled scheme {scheme}")
-    return Graph(g.labels, us, vs, ws)
+    return g.with_weights(ws)

@@ -31,6 +31,12 @@ def edge_list(g: Graph) -> list[tuple[int, int, float]]:
     return list(zip(us.tolist(), vs.tolist(), ws.tolist()))
 
 
+def graph_arrays(g: Graph) -> tuple[list[str], list[tuple[str, bytes]]]:
+    """The labels and the dtype and bytes of each of the six arrays."""
+    arrays = (g.indptr, g.indices, g.weights, g.us, g.vs, g.ws)
+    return g.labels, [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
 def neighbor_weights(g: Graph, v: int) -> dict[int, float]:
     """Neighbors of v mapped to edge weights, read from v's CSR row."""
     lo, hi = g.indptr[v], g.indptr[v + 1]

@@ -5,18 +5,20 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestseg.graph_core import (Graph, GraphFormatError, _parse_regular,
-                                load_edge_list, load_edge_list_path)
+from nestseg.graph_core import (Graph, GraphFormatError, _pack_bits,
+                                _parse_regular, load_edge_list,
+                                load_edge_list_path)
 from nestseg.oracle import (avg_degree_density, cross_density,
                             cross_pair_count, cross_weight, induced_density,
                             induced_weight)
 
-from conftest import (dyadic_graph, edge_list, neighbor_weights, path_graph,
-                      star_graph, triangle_graph)
+from conftest import (dyadic_graph, edge_list, graph_arrays, neighbor_weights,
+                      path_graph, star_graph, triangle_graph)
 
 
 # ---------------------------------------------------------------- parsing
@@ -139,8 +141,7 @@ def _loaded(load, path):
         g = load(path)
     except (GraphFormatError, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc)
-    arrays = (g.indptr, g.indices, g.weights, g.us, g.vs, g.ws)
-    return g.labels, [(a.dtype.str, a.tobytes()) for a in arrays]
+    return graph_arrays(g)
 
 
 def _line_loop(path):
@@ -228,6 +229,107 @@ def test_whole_file_loader_matches_line_loop_seeded(tmp_path):
         regular += _parse_regular(data) is not None
         _assert_same_load(tmp_path, data)
     assert 100 < regular < 300  # both paths are exercised
+
+
+def _words(labels: list[bytes]) -> np.ndarray:
+    """One row of one NUL-padded 8-byte word per label, as the loader has."""
+    return np.frombuffer(b"".join(lab.ljust(8, b"\0") for lab in labels),
+                         dtype=np.uint64)[:, None]
+
+
+def test_label_keys_pack_only_below_two_to_the_63():
+    # t rows take (t - 1).bit_length() position bits; a word packs while
+    # word << bits < 2**63
+    assert _pack_bits(_words([b"a", b"b"])) == 1
+    assert _pack_bits(_words([b"a"] * 1024)) == 10
+    assert _pack_bits(_words([b"a"] * 1025)) == 11
+    for t, bits in ((2, 1), (256, 8), (258, 9)):
+        edge = np.zeros((t, 1), dtype=np.uint64)
+        edge[1] = (1 << (63 - bits)) - 1
+        assert _pack_bits(edge) == bits
+        edge[1] += 1
+        assert _pack_bits(edge) is None
+    # 256 label tokens (128 lines) pack a 7-byte label ending in "~"
+    # (about 2**54.98), 258 (129 lines) do not; wider labels never pack
+    assert _pack_bits(_words([b"abcdef~"] * 256)) == 8
+    assert _pack_bits(_words([b"abcdef~"] * 258)) is None
+    assert _pack_bits(_words([b"abcdefg?", b"a"])) == 1
+    assert _pack_bits(_words([b"abcdefg@", b"a"])) is None
+    assert _pack_bits(np.zeros((2, 2), dtype=np.uint64)) is None
+
+
+def _star_file(lines: int, hub: str, cols: int) -> bytes:
+    weight = " 2" if cols == 3 else ""
+    return "".join(f"{hub} v{i}{weight}\n" if i % 2 else f"v{i} {hub}{weight}\n"
+                   for i in range(lines)).encode()
+
+
+@pytest.mark.parametrize("cols", [2, 3])
+def test_whole_file_loader_matches_line_loop_at_the_packing_limit(tmp_path, cols):
+    # the hub label decides whether the label keys pack: on each side of
+    # the limit, with 7-byte labels and with 8-byte ones
+    for lines, hub in ((128, "abcdef~"), (129, "abcdef~"), (127, "abcdef}"),
+                       (1, "abcdefg?"), (1, "abcdefg@"), (2, "abcdefg?"),
+                       (300, "abcdefgh"), (300, "a")):
+        data = _star_file(lines, hub, cols)
+        assert _parse_regular(data) is not None
+        _assert_same_load(tmp_path, data)
+    # a repeated edge and a self-loop still name their line
+    _assert_same_load(tmp_path, _star_file(128, "abcdef~", cols) + b"v3 abcdef~\n")
+    _assert_same_load(tmp_path, _star_file(128, "abcdef~", cols) + b"v3 v3\n")
+
+
+# ------------------------------------------------- with_weights
+
+def _shuffled_graph(rng: np.random.Generator) -> Graph:
+    """Random graph, edges in random order and orientation, with 0-3
+    isolated vertices at random ids."""
+    n = int(rng.integers(2, 80))
+    pairs = np.unique(np.sort(rng.integers(0, n, size=(2 * n, 2)), axis=1), axis=0)
+    pairs = rng.permutation(pairs[pairs[:, 0] != pairs[:, 1]])
+    flip = rng.random(len(pairs)) < 0.5
+    heads = np.where(flip, pairs[:, 1], pairs[:, 0])
+    tails = np.where(flip, pairs[:, 0], pairs[:, 1])
+    ids = rng.permutation(n + int(rng.integers(0, 4)))
+    return Graph([str(v) for v in range(len(ids))], ids[heads], ids[tails],
+                 rng.random(len(pairs)))
+
+
+def test_with_weights_matches_the_constructor(karate, lesmis):
+    rng = np.random.default_rng(3)
+    graphs = [_shuffled_graph(rng) for _ in range(60)]
+    graphs += [karate, lesmis, Graph(["a", "b"], [], [], []), Graph([], [], [], [])]
+    for g in graphs:
+        m = g.total_edge_count
+        for ws in (rng.random(m) * rng.integers(0, 2, m), np.zeros(m), g.ws):
+            got = g.with_weights(ws)
+            assert graph_arrays(got) == graph_arrays(Graph(g.labels, g.us, g.vs, ws))
+            assert got.label_index == g.label_index
+            # and again from a graph that with_weights built
+            again = got.with_weights(ws[::-1])
+            assert graph_arrays(again) == graph_arrays(
+                Graph(g.labels, g.us, g.vs, ws[::-1]))
+            assert all(not a.flags.writeable
+                       for a in (got.indices, got.weights, got.ws))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0,
+                                 math.nextafter(2.0 ** 400, math.inf)])
+def test_with_weights_rejects_what_the_constructor_rejects(karate, bad):
+    ws = karate.ws.copy()
+    assert karate.with_weights(ws).ws.tobytes() == ws.tobytes()
+    ws[[7, 30]] = bad, -2.0  # the first bad edge is reported
+    ws[[40, 50]] = math.nan, math.inf
+    errors = []
+    for build in (karate.with_weights,
+                  lambda w: Graph(karate.labels, karate.us, karate.vs, w)):
+        with pytest.raises(GraphFormatError) as exc:
+            build(ws)
+        errors.append((str(exc.value), exc.value.edge))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == 7
+    with pytest.raises(ValueError, match="differ in length"):
+        karate.with_weights(ws[1:])
 
 
 # ------------------------------------------------- pair counts and weights

@@ -14,8 +14,8 @@ from nestseg.oracle import reference_pagerank
 from nestseg.weighting import (ConvergenceError, WeightingScheme,
                                apply_weighting, personalized_pagerank)
 
-from conftest import (dyadic_graph, edge_list, neighbor_weights, path_graph,
-                      star_graph)
+from conftest import (dyadic_graph, edge_list, graph_arrays, neighbor_weights,
+                      path_graph, star_graph)
 
 
 def test_two_vertex_closed_form():
@@ -89,12 +89,13 @@ def test_invalid_arguments_rejected():
 
 def test_walk_parameters_that_cannot_converge_rejected_up_front():
     g = path_graph(3)
-    for tol in (math.nan, -1.0, -math.inf):
-        with pytest.raises(ValueError, match="tol must be >= 0"):
-            personalized_pagerank(g, {0}, tol=tol)
-    for max_iter in (0, -5):
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            personalized_pagerank(g, {0}, max_iter=max_iter)
+    for walk in (personalized_pagerank, reference_pagerank):
+        for tol in (math.nan, -1.0, -math.inf):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                walk(g, {0}, tol=tol)
+        for max_iter in (0, -5):
+            with pytest.raises(ValueError, match="max_iter must be >= 1"):
+                walk(g, {0}, max_iter=max_iter)
     # the edges of the valid range still run: inf stops after one step
     assert personalized_pagerank(g, {0}, tol=math.inf).iterations == 1
     assert personalized_pagerank(g, {0}, max_iter=1, tol=math.inf).iterations == 1
@@ -167,6 +168,18 @@ def test_scheme_formulas_pointwise():
         assert _edge_weight(ws, u, v) == pytest.approx(p[u] + p[v], abs=1e-12)
         assert _edge_weight(wm, u, v) == pytest.approx(min(p[u], p[v]), abs=1e-12)
         assert _edge_weight(wo, u, v) == w
+
+
+def test_reweighted_graph_is_the_constructors(karate, lesmis):
+    # every scheme's graph is the one the constructor builds from g's
+    # u < v edge arrays and the new weights, array for array
+    cases = [_walk_graph(seed) for seed in range(20)]
+    cases += [(karate, {0}), (lesmis, {0, 11, 48}), (Graph(["a", "b"], [], [], []), {1})]
+    for g, S in cases:
+        pr = personalized_pagerank(g, S)
+        for scheme in WeightingScheme:
+            wg = apply_weighting(g, pr, scheme)
+            assert graph_arrays(wg) == graph_arrays(Graph(g.labels, g.us, g.vs, wg.ws))
 
 
 def test_reweighting_keeps_structure():

@@ -101,6 +101,16 @@ class Graph:
 
     def weighted_degrees(self) -> list[float]:
         """weighted_degree(v) of every vertex v, in id order."""
+        w = self.weights
+        if (w == np.floor(w)).all() and w.sum() < 2.0**53:
+            # integer weights whose float total is below 2**53: their exact
+            # total is too (rounding nonnegative sums is monotone), so every
+            # partial sum in any order is an integer below 2**53 and exact.
+            # A row's running-sum difference is then its exact sum, which
+            # is what fsum returns
+            run = np.zeros(len(w) + 1)
+            np.cumsum(w, out=run[1:])
+            return (run[self.indptr[1:]] - run[self.indptr[:-1]]).tolist()
         ptr, wts = self.indptr.tolist(), memoryview(self.weights)
         return [math.fsum(wts[a:b]) for a, b in zip(ptr, ptr[1:])]
 

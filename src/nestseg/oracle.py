@@ -224,7 +224,8 @@ def reference_peel(g: Graph, S: VertexSet) -> list[int]:
     wdeg = [0.0] * n
     for v in range(n):
         if not in_source[v]:
-            wdeg[v] = sum(wts[ptr[v]:ptr[v + 1]])
+            for j in range(ptr[v], ptr[v + 1]):  # left to right, as row_sums
+                wdeg[v] += wts[j]
     heap = [(wdeg[v], v) for v in range(n) if not in_source[v]]
     heapq.heapify(heap)
     present = bytearray([1]) * n

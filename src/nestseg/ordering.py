@@ -38,6 +38,58 @@ class VertexOrder:
         return frozenset(self.sequence[:self.source_size])
 
 
+MAX_INT64 = (1 << 63) - 1
+
+# ROW_SUM_WIDTH: columns summed elementwise over all rows before each longer
+# row is finished on its own
+ROW_SUM_WIDTH = 64
+
+
+def row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each CSR row's weights added left to right, starting from +0.0.
+
+    The same additions in the same order as ``s = 0.0; for w in row:
+    s += w``, whatever the Python version (``sum()`` of floats is
+    compensated since 3.12).  With the rows sorted longest first, column
+    j is one elementwise add over the rows longer than j.  Rows longer
+    than ROW_SUM_WIDTH are then summed again, each by np.cumsum, which
+    adds left to right (only numpy's reductions sum pairwise); its first
+    partial sum is w0 rather than 0.0 + w0, which differs only for a
+    row of -0.0s, and adding 0.0 to the total mends that.  So a row of
+    10^6 weights costs one call, not 10^6.
+    """
+    lens = np.diff(indptr)
+    rows = np.argsort(-lens, kind="stable")
+    starts, lens = indptr[:-1][rows], lens[rows]
+    acc = np.zeros(len(rows))
+    width = min(ROW_SUM_WIDTH, int(lens[0])) if len(lens) else 0
+    # longer[j] = the number of rows longer than j
+    longer = np.searchsorted(-lens, -np.arange(width + 1), side="left").tolist()
+    for j in range(width):
+        k = longer[j]
+        acc[:k] += weights[starts[:k] + j]
+    for i in range(longer[width]):
+        a = int(starts[i])
+        acc[i] = np.cumsum(weights[a:a + int(lens[i])])[-1] + 0.0
+    out = np.empty_like(acc)
+    out[rows] = acc
+    return out
+
+
+def ordered_bits(values: np.ndarray) -> np.ndarray:
+    """int64 keys of float64 values that order as the values do.
+
+    A float's IEEE bit pattern, read as an int64, already orders the
+    nonnegative floats; a negative pattern is mapped to
+    ``-1 - (bits & (2**63 - 1))``, which puts the negatives below zero
+    in reverse order of their magnitude.  The keys of non-NaN values
+    then order as the values, except that -0.0 (key -1) comes before
+    +0.0 (key 0).
+    """
+    bits = values.view(np.int64)
+    return np.where(bits < 0, -1 - (bits & MAX_INT64), bits)
+
+
 def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     """Order vertices by repeatedly peeling the lightest one.
 
@@ -45,61 +97,82 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     vertex with the smallest total weight of edges to the vertices still
     present (ties: lowest id), and prepend it to the order.  The source
     set, in ascending id order, forms the head of the result; the first
-    vertex peeled ends up last.
+    vertex peeled ends up last.  Each row's weights are summed left to
+    right (row_sums) and a removal subtracts its edge weights in row
+    order, so the order does not depend on the Python version.
 
-    A binary heap of (weighted degree, id) entries holds only the
-    vertices at or below a cut tau.  Invariant: every remaining vertex
-    whose degree is at most tau has a current entry in the heap, that
-    is one whose key equals the vertex's degree; other entries are
-    stale and skipped when popped.  Degrees only fall, so a decrement
-    pushes a new entry exactly when it leaves the degree at or below
-    tau.  When the heap runs out of current entries, tau is raised to
-    the max(1024, remaining // 16)-th smallest remaining degree and
-    every remaining vertex at or below it, ties included, is heapified.
-    Each refill thus hands out at least 1/16 of the remaining vertices
-    (or 1024), so there are O(log n) refills of O(n) each, and each
-    decrement pushes at most once: O((n + m) log n) in all.
+    A binary heap holds only the vertices at or below a cut tau.
+    Invariant: every remaining vertex whose degree is at most tau has a
+    current entry in the heap, that is one whose key encodes the
+    vertex's degree; other entries are stale and skipped when popped.
+    Degrees only fall, so a decrement pushes a new entry exactly when
+    it leaves the degree at or below tau.  When the heap runs out of
+    current entries, tau is raised to the max(1024, remaining // 16)-th
+    smallest remaining degree and every remaining vertex at or below it,
+    ties included, is heapified.  Each refill thus hands out at least
+    1/16 of the remaining vertices (or 1024), so there are O(log n)
+    refills of O(n) each, and each decrement pushes at most once:
+    O((n + m) log n) in all.
 
     Every entry's key is at most tau, and every remaining vertex at or
     below tau has its current entry, so the least current entry is the
     global (degree, id) minimum whatever tau is: the order does not
     depend on tau.
 
+    A heap entry is one int, ``(ordered_bits(d) << b) | v`` with
+    ``b = n.bit_length()``, so that every id fits below bit b; Python
+    compares such ints faster than (d, v) tuples.  Their order is the
+    (d, v) order because ordered_bits orders floats, negatives included
+    (live degrees can fall below zero by rounding), with one exception,
+    -0.0 before +0.0, and no degree is ever -0.0: a degree starts as
+    +0.0 plus nonnegative weights, which is never -0.0, and then changes
+    only by ``d - w``, which is -0.0 only when d is -0.0 and w is +0.0.
+    The degrees live in one float64 array, read and written through a
+    memoryview and their bits read through an int64 view of the same
+    buffer; an entry is stale when ``key >> b`` is not its vertex's
+    current ordered bits.
+
     Removed and source vertices hold NaN as their degree, and a removal
-    skips such neighbors instead of decrementing them.  The later of an
-    edge's two visits always finds its other end removed, so at least
-    half of all neighbor visits are skipped; the order is unchanged.
+    skips such neighbors instead of decrementing them.  No other degree
+    is NaN: live degrees stay finite, since every weight is at most
+    2**400 and a row sums fewer than 2**63 of them.  So no pushed key
+    is NaN's and a removed vertex's entries are all stale; np.partition
+    sorts NaN last.  The later of an edge's two visits always finds its
+    other end removed, so at least half of all neighbor visits are
+    skipped; the order is unchanged.
     """
     src = sorted(S)
+    n = g.num_vertices
     # memoryviews read the CSR arrays as Python ints and floats without
     # holding a list of all 2m of them
     ptr, nbrs, wts = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
-    deg = [sum(wts[a:b]) for a, b in zip(ptr, ptr[1:])]
-    # removed and source vertices hold the math.nan object, and no other
-    # NaN is ever stored: live degrees stay finite, since every weight is
-    # at most 2**400 and a row sums fewer than 2**63 of them, so a
-    # decrement never makes one.  Hence `deg[y] is nan` tells a removed
-    # neighbor, which is skipped; no key equals NaN, and np.partition
-    # sorts NaN last
+    degs = row_sums(g.indptr, g.weights)
+    degs[src] = np.nan
+    deg = memoryview(degs)
+    bits = deg.cast("B").cast("q")
+    shift = n.bit_length()
+    ids = (1 << shift) - 1
+    mag = MAX_INT64
     nan = math.nan
-    for v in src:
-        deg[v] = nan
     push = heapq.heappush
     pop = heapq.heappop
 
-    heap: list[tuple[float, int]] = []
+    heap: list[int] = []
     tau = -math.inf
     removed: list[int] = []
-    remaining = g.num_vertices - len(src)
+    remaining = n - len(src)
     while remaining:
         if not heap:
-            degs = np.array(deg)
             rank = min(max(1024, remaining // 16), remaining) - 1
             tau = float(np.partition(degs, rank)[rank])
-            heap = [(deg[v], v) for v in np.flatnonzero(degs <= tau).tolist()]
+            vs = np.flatnonzero(degs <= tau)
+            heap = [(o << shift) | v
+                    for o, v in zip(ordered_bits(degs[vs]).tolist(), vs.tolist())]
             heapq.heapify(heap)
-        key, x = pop(heap)
-        if key != deg[x]:
+        key = pop(heap)
+        x = key & ids
+        o = bits[x]  # mapped below as ordered_bits maps it
+        if key >> shift != (o if o >= 0 else -1 - (o & mag)):
             continue  # stale entry
         deg[x] = nan
         removed.append(x)
@@ -107,12 +180,13 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
         a, b = ptr[x], ptr[x + 1]
         for y, w in zip(nbrs[a:b], wts[a:b]):
             d = deg[y]
-            if d is nan:
-                continue
+            if d != d:
+                continue  # removed or source
             d -= w
             deg[y] = d
             if d <= tau:
-                push(heap, (d, y))
+                o = bits[y]
+                push(heap, ((o if o >= 0 else -1 - (o & mag)) << shift) | y)
 
     removed.reverse()
     return VertexOrder(sequence=src + removed, source_size=len(src))

@@ -324,11 +324,14 @@ class Segmenter:
                     f"community densities not strictly decreasing at community {j + 1}: "
                     f"{densities[j - 1]} then {densities[j]}")
 
+        total = 0.0
+        for score in seg_scores:  # left to right; sum() compensates since 3.12
+            total += score
         return CommunitySequence(order=self.order, breakpoints=breakpoints,
                                  segment_centroids=centroids,
                                  segment_scores=seg_scores,
                                  community_densities=densities,
-                                 total_score=float(sum(seg_scores)))
+                                 total_score=total)
 
 
 def discover(g: Graph, order: VertexOrder, k: int) -> CommunitySequence:

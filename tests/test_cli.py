@@ -10,10 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nestseg
-from nestseg.cli import (RunConfig, compare_baselines, main, resolve_source,
-                         run_pipeline)
+from nestseg.cli import (RunConfig, compare_baselines, dumps_indented, main,
+                         resolve_source, run_pipeline)
 from nestseg.graph_core import load_edge_list_path
 from nestseg.weighting import WeightingScheme
 
@@ -30,6 +32,28 @@ def run_cli(capsys, *argv):
 
 
 # ------------------------------------------------------------------ reports
+
+_SCALARS = (st.text() | st.sampled_from(["", "é", '"q"', "\\", "\u2028", "a\nb"])
+            | st.integers() | st.booleans() | st.none()
+            | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
+_JSON = st.recursive(_SCALARS,
+                     lambda inner: st.lists(inner, max_size=6)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=6),
+                     max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON)
+def test_dumps_indented_matches_json_indent(obj):
+    assert dumps_indented(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_indented_on_other_containers():
+    # tuples and non-str keys take json's own path, indented to depth
+    for obj in ({"a": (1, [2.5, None])}, [{1: "x", None: [True]}], {"": {}},
+                [[], {}, [[]]], ("a",)):
+        assert dumps_indented(obj) == json.dumps(obj, indent=2)
+
 
 def test_run_json_schema_and_frozen_values(capsys):
     code, out, err = run_cli(capsys, "run", "--input", KARATE_PATH,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from nestseg.graph_core import (Graph, GraphFormatError, _pack_bits,
                                 _parse_regular, load_edge_list,
                                 load_edge_list_path)
+from nestseg.cli import resolve_source
 from nestseg.oracle import (avg_degree_density, cross_density,
                             cross_pair_count, cross_weight, induced_density,
                             induced_weight)
@@ -131,6 +132,40 @@ def test_weighted_degrees_match_per_vertex_sums():
         assert g.weighted_degrees() == [g.weighted_degree(v) for v in range(9)]
         assert g.weighted_degrees() == [math.fsum(neighbor_weights(g, v).values())
                                         for v in range(9)]
+
+
+
+def _fsum_rows(g: Graph) -> list[float]:
+    return [math.fsum(g.weights[a:b].tolist())
+            for a, b in zip(g.indptr[:-1].tolist(), g.indptr[1:].tolist())]
+
+
+def test_weighted_degrees_of_integer_weights_are_exact_row_sums():
+    rng = np.random.default_rng(0)
+    for weights in (rng.integers(1, 100, 3000), rng.integers(0, 3, 3000),
+                    np.full(3000, 2.0**40)):
+        us = rng.integers(0, 1000, 3000)
+        vs = (us + 1 + rng.integers(0, 998, 3000)) % 1000
+        keep = np.unique(np.minimum(us, vs) * 1000 + np.maximum(us, vs))
+        n = 1200  # ids 1000..1199 have empty rows
+        g = Graph([str(v) for v in range(n)], keep // 1000, keep % 1000,
+                  weights[:len(keep)] * 1.0)
+        assert g.weighted_degrees() == _fsum_rows(g)
+    # -0.0 and zero weights; a tie for the heaviest vertex goes to the lower id
+    g = Graph.from_edges(list("abcde"), [(0, 1, -0.0), (1, 2, 2.0), (2, 3, 1.0),
+                                         (3, 4, 2.0), (1, 3, 0.0)])
+    assert g.weighted_degrees() == _fsum_rows(g) == [0.0, 2.0, 3.0, 3.0, 2.0]
+    assert resolve_source(g, None) == {2}
+
+
+def test_weighted_degrees_fall_back_to_fsum():
+    # a fractional weight, and integer weights whose total reaches 2**53:
+    # one running sum would lose the unit weights next to 2**52
+    for edges in ([(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3), (0, 3, 0.7)],
+                  [(0, 1, 2.0**52), (1, 2, 2.0**52), (2, 3, 2.0**52),
+                   (3, 4, 1.0), (4, 5, 1.0), (0, 5, 3.0)]):
+        g = Graph.from_edges([str(v) for v in range(6)], edges)
+        assert g.weighted_degrees() == _fsum_rows(g)
 
 
 # ------------------------------------------ whole-file loader vs the loop

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import random
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestseg.graph_core import Graph
-from nestseg.ordering import (VertexOrder, degree_order, hops_levels,
-                              pagerank_order, sort_vertices)
+from nestseg.ordering import (ROW_SUM_WIDTH, VertexOrder, degree_order,
+                              hops_levels, ordered_bits, pagerank_order,
+                              row_sums, sort_vertices)
 from nestseg.oracle import densest_prefix, reference_peel
 from nestseg.weighting import (WeightingScheme, apply_weighting,
                                personalized_pagerank)
@@ -165,6 +167,134 @@ def test_peel_raises_its_cut_when_the_heap_runs_out(monkeypatch):
     order = sort_vertices(g, set()).sequence
     assert len(refills) >= 3
     assert order == reference_peel(g, set())
+
+
+# -------------------------------------------- row sums and integer heap keys
+
+def _loop_sums(indptr: np.ndarray, weights: np.ndarray) -> list[float]:
+    """Each row's weights added by a plain for loop, from 0.0."""
+    sums = []
+    for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        s = 0.0
+        for w in weights[a:b].tolist():
+            s += w
+        sums.append(s)
+    return sums
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def test_row_sums_add_left_to_right():
+    rng = np.random.default_rng(0)
+    rows = [[0.1] * 10, [], [-0.0], [-0.0, 1.0], [2.0**400, 1.0, -0.0],
+            [-0.0] * (ROW_SUM_WIDTH + 3),  # finished by cumsum: +0.0, not -0.0
+            list(rng.random(ROW_SUM_WIDTH)), list(rng.random(ROW_SUM_WIDTH + 1)),
+            list(rng.random(5000) * 10.0 ** rng.integers(-8, 9, 5000)),  # a star's hub
+            []]
+    rows += [list(rng.random(k) * 10.0 ** rng.integers(-8, 9, k))
+             for k in rng.integers(0, 90, 300).tolist()]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    weights = np.array([w for r in rows for w in r], dtype=np.float64)
+    sums = row_sums(indptr, weights)
+    assert _bits(sums) == _bits(_loop_sums(indptr, weights))
+    assert sums[0] == 0.9999999999999999  # sum() is 1.0 from Python 3.12 on
+    assert row_sums(np.zeros(1, dtype=np.int64), np.zeros(0)).tolist() == []
+
+
+def test_ordered_bits_order_as_the_floats():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(20000) * 10.0 ** rng.integers(-320, 300, 20000)
+    x = np.concatenate([x, [0.0, 5e-324, -5e-324, 2.0**400, -2.0**400, 0.1,
+                            -0.1, math.inf, -math.inf], x[:100]])
+    order = np.argsort(x, kind="stable")
+    keys, xs = ordered_bits(x[order]), x[order]
+    assert (np.diff(keys) >= 0).all()
+    assert ((np.diff(keys) == 0) == (np.diff(xs) == 0)).all()
+    assert ordered_bits(np.array([-0.0, 0.0])).tolist() == [-1, 0]
+
+
+def _least_live_degree(g: Graph, S: set[int], sequence: list[int]) -> float:
+    """The least degree a remaining vertex has while `sequence` is
+    peeled, replayed in plain Python from left-to-right row sums."""
+    ptr, nbrs, wts = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
+    deg = _loop_sums(g.indptr, g.weights)
+    live = set(range(g.num_vertices)) - S
+    least = math.inf
+    for x in reversed(sequence[len(S):]):
+        live.discard(x)
+        for j in range(ptr[x], ptr[x + 1]):
+            if nbrs[j] in live:
+                deg[nbrs[j]] -= wts[j]
+                least = min(least, deg[nbrs[j]])
+    return least
+
+
+def test_peel_through_negative_degrees():
+    # decimal weights: a degree summed in one order and decremented in
+    # another can end below zero while its vertex remains
+    negative = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(4, 25)
+        edges = [(u, v, rng.choice([0.1, 0.2, 0.3, 0.7]))
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        g = Graph.from_edges([str(v) for v in range(n)], edges)
+        S = set(range(seed % 2))
+        order = sort_vertices(g, S).sequence
+        assert order == reference_peel(g, S)
+        negative += _least_live_degree(g, S, order) < 0
+    assert negative >= 5
+    # 2**53 absorbs the three unit weights in x's seed, but the unit leaves
+    # are subtracted exactly: x (id 0) reaches -3 when L (id 1) goes
+    edges = [(0, 1, 2.0**53)] + [(0, v, 1.0) for v in (2, 3, 4)] \
+        + [(1, v, 1.0) for v in (5, 6, 7, 8)] + [(0, 9, 0.0)]
+    g = Graph.from_edges([str(v) for v in range(10)], edges)
+    order = sort_vertices(g, set()).sequence
+    assert order == reference_peel(g, set())
+    assert _least_live_degree(g, set(), order) == -3.0
+
+
+def test_peel_with_zero_and_negative_zero_weights():
+    for seed in range(6):
+        g = _gnm(seed, 1500, 6000,
+                 lambda rng, m: rng.choice([0.0, -0.0, 1.0, 0.5], m))
+        S = {seed} if seed % 2 else set()
+        assert sort_vertices(g, S).sequence == reference_peel(g, S)
+    g = _gnm(7, 300, 900, lambda rng, m: np.full(m, -0.0))
+    assert sort_vertices(g, set()).sequence == reference_peel(g, set())
+
+
+def test_peel_on_exact_ties():
+    # unit weights past the 1024-vertex floor, sparse enough that the peel
+    # reaches the cut's degree before raising it: vertices fall from above
+    # the cut to exactly the cut and must be pushed
+    for seed, S in ((8, set()), (9, {0, 1})):
+        g = _gnm(seed, 4000, 6000, lambda rng, m: np.ones(m))
+        assert sort_vertices(g, S).sequence == reference_peel(g, S)
+
+
+@pytest.mark.parametrize("j", [1, 2, 5, 10, 11])
+def test_peel_keys_at_powers_of_two(j):
+    # b = n.bit_length() must leave room for the largest id, n - 1
+    for n in (2**j - 1, 2**j, 2**j + 1):
+        if n < 32:
+            rng = random.Random(n)
+            g = Graph.from_edges([str(v) for v in range(n)],
+                                 [(u, v, float(rng.randint(1, 3)))
+                                  for u in range(n) for v in range(u + 1, n)])
+        else:
+            g = _gnm(n, n, 3 * n, lambda rng, m: rng.integers(1, 4, m) * 1.0)
+        assert sort_vertices(g, set()).sequence == reference_peel(g, set())
+        assert sort_vertices(g, {n - 1}).sequence == reference_peel(g, {n - 1})
+
+
+def test_peel_near_the_largest_weight():
+    for seed in range(4):
+        g = _gnm(seed, 400, 2000,
+                 lambda rng, m: 2.0**400 * (1 - rng.integers(0, 4, m) * 2.0**-52))
+        assert sort_vertices(g, set()).sequence == reference_peel(g, set())
 
 
 def test_vertex_order_validation():

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph_core import Graph, VertexSet
 from .ordering import VertexOrder, sort_vertices
@@ -251,23 +250,42 @@ def reference_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
                        use_edge_weights: bool = False, tol: float = 1e-10,
                        max_iter: int = 10000) -> PageRankVector:
     """personalized_pagerank(g, S, ...) with the walk operator built from
-    the u < v edge arrays: a COO matrix of both orientations, converted
-    to CSR, scaled by the inverse row sums and transposed.  Same power
-    iteration, so p, residual and iterations are bit-identical."""
+    the u < v edge arrays by plain loops: each row lists (column,
+    weight) in ascending column order, a row's strength is
+    np.add.reduceat of its weights (the call that scipy's
+    ``A.sum(axis=1)`` makes), and a step adds each row's products
+    weight / strength[x] * p[x] left to right from 0.0, as scipy's
+    csr_matvec does.  Same power iteration, so p, residual and
+    iterations are bit-identical."""
     n = g.num_vertices
     us, vs, ws = g.edge_arrays()
-    data = ws if use_edge_weights else np.ones(len(us))
+    data = ws.tolist() if use_edge_weights else [1.0] * len(us)
     # symmetric weight matrix; rows index the walker's current vertex
-    rows = np.concatenate([us, vs])
-    cols = np.concatenate([vs, us])
-    vals = np.concatenate([data, data])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    strength = np.asarray(A.sum(axis=1)).ravel()
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in zip(us.tolist(), vs.tolist(), data):
+        rows[u].append((v, w))
+        rows[v].append((u, w))
+    strength = np.zeros(n)
+    for v, row in enumerate(rows):
+        row.sort()
+        if row:
+            strength[v] = np.add.reduceat(np.array([w for _, w in row]), [0])[0]
     dangling = strength == 0.0
-    inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, strength))
-    # step operator transposed: step_T @ p redistributes p along edges
-    step_T = A.multiply(inv[:, None]).T.tocsr()
-    return _power_iteration(step_T, dangling, sorted(S), restart, tol, max_iter)
+    inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, strength)).tolist()
+    # step operator transposed: row y lists A[x, y] / strength[x] by x
+    step_T = [[(x, w * inv[x]) for x, w in row] for row in rows]
+
+    def step(p: np.ndarray) -> np.ndarray:
+        p = p.tolist()
+        out = []
+        for row in step_T:
+            s = 0.0
+            for x, a in row:
+                s += a * p[x]
+            out.append(s)
+        return np.array(out)
+
+    return _power_iteration(step, dangling, sorted(S), restart, tol, max_iter)
 
 
 def exact_segment_cost(points: Sequence[tuple[float, float]],

@@ -40,41 +40,6 @@ class VertexOrder:
 
 MAX_INT64 = (1 << 63) - 1
 
-# ROW_SUM_WIDTH: columns summed elementwise over all rows before each longer
-# row is finished on its own
-ROW_SUM_WIDTH = 64
-
-
-def row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Each CSR row's weights added left to right, starting from +0.0.
-
-    The same additions in the same order as ``s = 0.0; for w in row:
-    s += w``, whatever the Python version (``sum()`` of floats is
-    compensated since 3.12).  With the rows sorted longest first, column
-    j is one elementwise add over the rows longer than j.  Rows longer
-    than ROW_SUM_WIDTH are then summed again, each by np.cumsum, which
-    adds left to right (only numpy's reductions sum pairwise); its first
-    partial sum is w0 rather than 0.0 + w0, which differs only for a
-    row of -0.0s, and adding 0.0 to the total mends that.  So a row of
-    10^6 weights costs one call, not 10^6.
-    """
-    lens = np.diff(indptr)
-    rows = np.argsort(-lens, kind="stable")
-    starts, lens = indptr[:-1][rows], lens[rows]
-    acc = np.zeros(len(rows))
-    width = min(ROW_SUM_WIDTH, int(lens[0])) if len(lens) else 0
-    # longer[j] = the number of rows longer than j
-    longer = np.searchsorted(-lens, -np.arange(width + 1), side="left").tolist()
-    for j in range(width):
-        k = longer[j]
-        acc[:k] += weights[starts[:k] + j]
-    for i in range(longer[width]):
-        a = int(starts[i])
-        acc[i] = np.cumsum(weights[a:a + int(lens[i])])[-1] + 0.0
-    out = np.empty_like(acc)
-    out[rows] = acc
-    return out
-
 
 def ordered_bits(values: np.ndarray) -> np.ndarray:
     """int64 keys of float64 values that order as the values do.
@@ -98,7 +63,7 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     present (ties: lowest id), and prepend it to the order.  The source
     set, in ascending id order, forms the head of the result; the first
     vertex peeled ends up last.  Each row's weights are summed left to
-    right (row_sums) and a removal subtracts its edge weights in row
+    right (Graph.row_plan) and a removal subtracts its edge weights in row
     order, so the order does not depend on the Python version.
 
     A binary heap holds only the vertices at or below a cut tau.
@@ -146,7 +111,8 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     # memoryviews read the CSR arrays as Python ints and floats without
     # holding a list of all 2m of them
     ptr, nbrs, wts = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
-    degs = row_sums(g.indptr, g.weights)
+    plan = g.row_plan()
+    degs = plan.sums(plan.arrange(g.weights))
     degs[src] = np.nan
     deg = memoryview(degs)
     bits = deg.cast("B").cast("q")
@@ -209,7 +175,9 @@ def hops_levels(g: Graph, S: VertexSet) -> list[set[int]]:
         starts, ends = g.indptr[frontier], g.indptr[frontier + 1]
         nbrs = g.indices[np.repeat(ends - np.cumsum(ends - starts), ends - starts)
                          + np.arange(int((ends - starts).sum()))]
-        frontier = np.unique(nbrs[~seen[nbrs]])
+        # sorted and duplicate-free, without np.unique, which imports numpy.ma
+        frontier = np.sort(nbrs[~seen[nbrs]])
+        frontier = frontier[np.diff(frontier, prepend=-1) != 0]
         if not len(frontier):
             break
         seen[frontier] = True

@@ -6,7 +6,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph_core import Graph, VertexSet
 
@@ -82,37 +81,57 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
     if not (0.0 < restart < 1.0):
         raise ValueError(f"restart must be in (0, 1), got {restart}")
 
-    # symmetric weight matrix; rows index the walker's current vertex.
-    # copy=True: sort_indices works in place, and g's arrays are read-only
-    data = g.weights if use_edge_weights else np.ones(len(g.indices))
-    A = sp.csr_matrix((data, g.indices, g.indptr), shape=(n, n), copy=True)
-    A.sort_indices()
-    strength = np.asarray(A.sum(axis=1)).ravel()
+    # each row of the walk operator is added as scipy's csr_matvec adds
+    # it: columns ascending, left to right from 0.0; the keys row * n +
+    # column (exact: n * n < 2**63) sort the columns within each row
+    plan = g.row_plan()
+    key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(g.indptr))
+    key += g.indices
+    if use_edge_weights:
+        by_col = np.argsort(key)
+        cols, w = g.indices[by_col], g.weights[by_col]
+        full = np.flatnonzero(np.diff(g.indptr))
+        strength = np.zeros(n)  # by the call that scipy's A.sum(axis=1) makes
+        strength[full] = np.add.reduceat(w, g.indptr[full])
+    else:
+        key.sort()
+        cols, strength = np.remainder(key, n, out=key), np.diff(g.indptr).astype(float)
     dangling = strength == 0.0
     inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, strength))
-    # step operator transposed, step_T[y, x] = A[x, y] / strength[x]: A is
-    # symmetric with sorted rows, so row y of A lists the x of row y of
-    # step_T in the order that A.T.tocsr() would
-    step_T = sp.csr_matrix((A.data * inv[A.indices], A.indices, A.indptr),
-                           shape=(n, n))
-    return _power_iteration(step_T, dangling, sorted(S), restart, tol, max_iter)
+    cols = plan.arrange(cols)
+    buf = np.empty(len(cols))
+    # the entries are A[x, y] * inv[x], or inv[x] itself unweighted
+    vals = plan.arrange(w) * inv[cols] if use_edge_weights else None
+
+    def step(p: np.ndarray) -> np.ndarray:
+        if vals is None:
+            np.take(p * inv, cols, out=buf, mode="wrap")
+        else:
+            np.multiply(np.take(p, cols, out=buf, mode="wrap"), vals, out=buf)
+        return plan.sums(buf)
+
+    return _power_iteration(step, dangling, sorted(S), restart, tol, max_iter)
 
 
-def _power_iteration(step_T, dangling: np.ndarray, src: list[int],
+def _power_iteration(step, dangling: np.ndarray, src: list[int],
                      restart: float, tol: float, max_iter: int) -> PageRankVector:
-    """Iterate the restarting walk with operator step_T from the restart
-    distribution on src until the L1 change drops to tol."""
+    """Iterate the restarting walk from the restart distribution on src
+    until the L1 change drops to tol; step(p) redistributes p along the
+    edges."""
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    r_vec = np.zeros(len(dangling))
-    r_vec[src] = 1.0 / len(src)
-    p = r_vec.copy()
+    share = 1.0 / len(src)
+    p = np.zeros(len(dangling))
+    p[src] = share
     damp = 1.0 - restart
     for it in range(1, max_iter + 1):
         lost = float(p[dangling].sum()) if dangling.any() else 0.0
-        p_next = damp * (step_T @ p) + (restart + damp * lost) * r_vec
+        # no step sum is -0.0, so adding 0.0 restart mass outside src
+        # would change no bit
+        p_next = damp * step(p)
+        p_next[src] += (restart + damp * lost) * share
         residual = float(np.abs(p_next - p).sum())
         p = p_next
         if residual <= tol:

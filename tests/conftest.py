@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nestseg.graph_core import Graph, load_edge_list_path
@@ -75,3 +76,29 @@ def dyadic_graph(seed: int, n: int, edge_prob: float = 0.5,
     """
     return random_graph(random.Random(seed), n, edge_prob,
                         weighted=True, connected=connected)
+
+
+def long_row_graphs() -> list[tuple[Graph, set[int]]]:
+    """Graphs with rows longer than 64, each with a source set: a
+    1,000-leaf star from its hub and from a leaf, hubs of degree 65-500
+    over sparse random edges, and a dense graph whose 300 rows all pass
+    64; edges in random order and orientation, with random weights, a
+    third of them 0 (on the star's hub row too)."""
+    rng = np.random.default_rng(11)
+
+    def build(n: int, pairs: np.ndarray) -> Graph:
+        pairs = rng.permutation(pairs)
+        flip = rng.random(len(pairs)) < 0.5
+        w = rng.random(len(pairs)) * (rng.random(len(pairs)) < 2 / 3)
+        return Graph([str(v) for v in range(n)], np.where(flip, pairs[:, 1], pairs[:, 0]),
+                     np.where(flip, pairs[:, 0], pairs[:, 1]), w)
+
+    star = build(1001, np.column_stack((np.zeros(1000, dtype=np.int64), np.arange(1, 1001))))
+    n = 2000
+    hubs = [np.column_stack((np.full(d, h), rng.choice(np.arange(20, n), d, replace=False)))
+            for h, d in enumerate(rng.integers(65, 501, 20).tolist())]
+    sparse = np.sort(rng.integers(0, n, size=(2 * n, 2)), axis=1)
+    pairs = np.unique(np.concatenate(hubs + [sparse]), axis=0)
+    hubbed = build(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    dense = np.argwhere(np.triu(rng.random((300, 300)) < 0.3, 1))
+    return [(star, {0}), (star, {417}), (hubbed, {0, 1500}), (build(300, dense), {7})]

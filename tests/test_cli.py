@@ -379,6 +379,21 @@ def test_cli_import_does_not_load_the_oracle():
     assert proc.stdout == "False\n"
 
 
+def test_cli_commands_load_neither_scipy_nor_numpy_ma(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(nestseg.__file__).parent.parent))
+    out = str(tmp_path / "out.json")
+    code = (
+        "import sys, nestseg.cli as cli\n"
+        f"assert cli.main(['run', '--input', {KARATE_PATH!r}, '--order', 'hops', '--output', {out!r}]) == 0\n"
+        f"assert cli.main(['compare', '--input', {KARATE_PATH!r}, '--output', {out!r}]) == 0\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}),"
+        " 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] False\n"
+
+
 # ------------------------------------------------------------------ library
 
 def test_resolve_source_default_picks_heaviest():

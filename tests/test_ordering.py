@@ -11,16 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestseg.graph_core import Graph
-from nestseg.ordering import (ROW_SUM_WIDTH, VertexOrder, degree_order,
-                              hops_levels, ordered_bits, pagerank_order,
-                              row_sums, sort_vertices)
+from nestseg.graph_core import ROW_SUM_WIDTH, Graph, RowSumPlan
+from nestseg.ordering import (VertexOrder, degree_order, hops_levels,
+                              ordered_bits, pagerank_order, sort_vertices)
 from nestseg.oracle import densest_prefix, reference_peel
 from nestseg.weighting import (WeightingScheme, apply_weighting,
                                personalized_pagerank)
 
-from conftest import (dyadic_graph, k4_pendant, neighbor_weights, path_graph,
-                      star_graph)
+from conftest import (dyadic_graph, k4_pendant, long_row_graphs,
+                      neighbor_weights, path_graph, star_graph)
 
 
 def _labels(g: Graph, order: VertexOrder) -> list[str]:
@@ -186,10 +185,15 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
+def _plan_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    plan = RowSumPlan(indptr)
+    return plan.sums(plan.arrange(values))
+
+
 def test_row_sums_add_left_to_right():
     rng = np.random.default_rng(0)
     rows = [[0.1] * 10, [], [-0.0], [-0.0, 1.0], [2.0**400, 1.0, -0.0],
-            [-0.0] * (ROW_SUM_WIDTH + 3),  # finished by cumsum: +0.0, not -0.0
+            [-0.0] * (ROW_SUM_WIDTH + 3),  # finished by bincount: +0.0, not -0.0
             list(rng.random(ROW_SUM_WIDTH)), list(rng.random(ROW_SUM_WIDTH + 1)),
             list(rng.random(5000) * 10.0 ** rng.integers(-8, 9, 5000)),  # a star's hub
             []]
@@ -197,10 +201,27 @@ def test_row_sums_add_left_to_right():
              for k in rng.integers(0, 90, 300).tolist()]
     indptr = np.cumsum([0] + [len(r) for r in rows])
     weights = np.array([w for r in rows for w in r], dtype=np.float64)
-    sums = row_sums(indptr, weights)
+    sums = _plan_sums(indptr, weights)
     assert _bits(sums) == _bits(_loop_sums(indptr, weights))
     assert sums[0] == 0.9999999999999999  # sum() is 1.0 from Python 3.12 on
-    assert row_sums(np.zeros(1, dtype=np.int64), np.zeros(0)).tolist() == []
+    assert _plan_sums(np.zeros(1, dtype=np.int64), np.zeros(0)).tolist() == []
+    # enough long rows for all ROW_SUM_WIDTH columns to be added elementwise
+    rows += [list(rng.random(k)) for k in rng.integers(60, 90, 600).tolist()]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    weights = np.array([w for r in rows for w in r], dtype=np.float64)
+    assert len(RowSumPlan(indptr).columns) == ROW_SUM_WIDTH
+    assert _bits(_plan_sums(indptr, weights)) == _bits(_loop_sums(indptr, weights))
+
+
+def test_peel_seeds_of_long_rows_add_left_to_right():
+    # the seeds come from the plan that the walk on the same rows shares
+    for g, S in long_row_graphs():
+        wg = apply_weighting(g, personalized_pagerank(g, S), WeightingScheme.SUM)
+        assert wg.row_plan() is g.row_plan()
+        for h in (g, wg):
+            seeds = h.row_plan().sums(h.row_plan().arrange(h.weights))
+            assert _bits(seeds) == _bits(_loop_sums(h.indptr, h.weights))
+            assert sort_vertices(h, S).sequence == reference_peel(h, S)
 
 
 def test_ordered_bits_order_as_the_floats():
@@ -343,6 +364,31 @@ def test_hops_levels_unreachable_trailing():
                          [(0, 1, 1.0), (2, 3, 1.0)])
     levels = hops_levels(g, {0})
     assert levels == [{0}, {1}, {2, 3}]
+
+
+def _python_bfs_levels(g: Graph, S: set[int]) -> tuple[list[set[int]], set[int]]:
+    """BFS distance classes from S by Python sets, and the unreached rest."""
+    levels, seen = [set(S)], set(S)
+    while True:
+        nxt = {y for x in levels[-1] for y in neighbor_weights(g, x)} - seen
+        if not nxt:
+            break
+        seen |= nxt
+        levels.append(nxt)
+    return levels, set(range(g.num_vertices)) - seen
+
+
+def test_hops_levels_match_python_bfs():
+    disconnected = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        g = dyadic_graph(seed, n, edge_prob=rng.choice([0.05, 0.1, 0.3]))
+        S = set(rng.sample(range(n), rng.randint(1, 3)))
+        levels, rest = _python_bfs_levels(g, S)
+        assert hops_levels(g, S) == levels + ([rest] if rest else [])
+        disconnected += bool(rest)
+    assert disconnected >= 5
 
 
 def test_degree_order_descending_weight():

@@ -14,8 +14,8 @@ from nestseg.oracle import reference_pagerank
 from nestseg.weighting import (ConvergenceError, WeightingScheme,
                                apply_weighting, personalized_pagerank)
 
-from conftest import (dyadic_graph, edge_list, graph_arrays, neighbor_weights,
-                      path_graph, star_graph)
+from conftest import (dyadic_graph, edge_list, graph_arrays, long_row_graphs,
+                      neighbor_weights, path_graph, star_graph)
 
 
 def test_two_vertex_closed_form():
@@ -136,7 +136,7 @@ def _walk_graph(seed: int) -> tuple[Graph, set[int]]:
 
 def test_walk_matches_reference_operator_bit_for_bit(karate, lesmis):
     cases = [_walk_graph(seed) for seed in range(40)]
-    cases += [(karate, {0}), (lesmis, {0, 11, 48})]
+    cases += [(karate, {0}), (lesmis, {0, 11, 48})] + long_row_graphs()
     for g, S in cases:
         for weighted in (False, True):
             got = personalized_pagerank(g, S, use_edge_weights=weighted)

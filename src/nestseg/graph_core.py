@@ -36,7 +36,7 @@ class Graph:
     edge list read rows in this order, so it pins their float sums and
     tie-breaks, hence the reports.  ``with_weights`` gives the graph
     that the constructor builds from ``us``, ``vs`` and new weights
-    without building it again, and shares its RowSumPlan ``row_plan()``.
+    without building it again.
 
     Weights are finite, nonnegative and at most MAX_WEIGHT (2**400);
     self-loops, unknown ids and duplicate edges (either orientation) are
@@ -44,7 +44,7 @@ class Graph:
     """
 
     __slots__ = ("labels", "label_index", "indptr", "indices", "weights",
-                 "us", "vs", "ws", "_plan")
+                 "us", "vs", "ws")
 
     def __init__(self, labels: list[str], heads, tails, weights):
         """Edge i joins ids heads[i] and tails[i] with weight weights[i]."""
@@ -76,7 +76,6 @@ class Graph:
         self.us, self.vs, self.ws = src[upper], self.indices[upper], self.weights[upper]
         for arr in (self.indptr, self.indices, self.weights, self.us, self.vs, self.ws):
             arr.flags.writeable = False
-        self._plan = None
 
     @classmethod
     def from_edges(cls, labels: list[str],
@@ -115,11 +114,6 @@ class Graph:
         ptr, wts = self.indptr.tolist(), memoryview(self.weights)
         return [math.fsum(wts[a:b]) for a, b in zip(ptr, ptr[1:])]
 
-    def row_plan(self) -> "RowSumPlan":
-        if self._plan is None:
-            self._plan = RowSumPlan(self.indptr)
-        return self._plan
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return the (u, v, w) edge arrays, u < v, in row order."""
         return self.us, self.vs, self.ws
@@ -155,7 +149,6 @@ class Graph:
         up = below[self.us] + np.arange(m)
         g = Graph.__new__(Graph)
         g.labels, g.label_index, g.indptr = self.labels, self.label_index, self.indptr
-        g._plan = self._plan
         g.us, g.vs, g.ws = self.us, self.vs, w
         g.indices = np.empty(2 * m, dtype=np.int64)
         g.indices[low], g.indices[up] = self.us[key], self.vs
@@ -164,59 +157,6 @@ class Graph:
         for arr in (g.indices, g.weights, g.ws):
             arr.flags.writeable = False
         return g
-
-
-# RowSumPlan adds entry j < ROW_SUM_WIDTH of the rows longer than j in one
-# elementwise add while ROW_SUM_ROWS or more rows are; np.bincount the rest
-ROW_SUM_WIDTH, ROW_SUM_ROWS = 64, 256
-
-
-class RowSumPlan:
-    """Adds up each row of a CSR layout as ``s = 0.0; for x in row: s +=
-    x`` does on any Python version (``sum()`` of floats is compensated
-    since 3.12), in O(ROW_SUM_WIDTH) numpy calls.  ``arrange`` lays
-    per-slot values out as ``sums`` reads them: with the rows sorted
-    longest first, column j holds entry j of each row longer than j;
-    then each row past the columns has a segment [head, its other entries].
-    ``sums`` writes the row's running sum into its head and finishes all
-    segments with one np.bincount, which adds in input order from 0.0
-    (and 0.0 + s is s, as a running sum from +0.0 is never -0.0)."""
-
-    def __init__(self, indptr: np.ndarray):
-        lens = np.diff(indptr)
-        rows = np.argsort(-lens, kind="stable")
-        self.starts, lens = indptr[:-1][rows], lens[rows]
-        self.rank = np.empty_like(rows)  # rank[v] = row v's place in rows
-        self.rank[rows] = np.arange(len(rows))
-        # longer[j] = the number of rows longer than j
-        longer = np.searchsorted(-lens, -np.arange(ROW_SUM_WIDTH + 1), side="left").tolist()
-        width = max(1, sum(c >= ROW_SUM_ROWS for c in longer[:-1]))
-        self.columns = list(zip(np.cumsum([0] + longer[:width]).tolist(), longer[:width]))
-        self.tail, self.long = sum(longer[:width]), longer[width]
-        seg = lens[:self.long] - (width - 1)
-        self.segments = np.repeat(np.arange(self.long), seg)
-        self.heads = np.cumsum(seg) - seg
-        # a head reads its row's entry width - 1, which sums overwrites
-        self.tail_slots = (np.repeat(self.starts[:self.long] + width - 1 - self.heads, seg)
-                           + np.arange(len(self.segments)))
-
-    def arrange(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty(self.tail + len(self.segments), dtype=values.dtype)
-        for j, (a, k) in enumerate(self.columns):
-            out[a:a + k] = values[self.starts[:k] + j]
-        out[self.tail:] = values[self.tail_slots]
-        return out
-
-    def sums(self, buf: np.ndarray) -> np.ndarray:
-        """The row sums of an arranged buffer, in row order; writes its heads."""
-        acc = np.zeros(len(self.rank))
-        for a, k in self.columns:
-            acc[:k] += buf[a:a + k]
-        if self.long:
-            tail = buf[self.tail:]
-            tail[self.heads] = acc[:self.long]
-            acc[:self.long] = np.bincount(self.segments, tail)
-        return acc.take(self.rank, mode="wrap")
 
 
 # The largest edge weight accepted.  The duplicate check's int64 codes

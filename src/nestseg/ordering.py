@@ -63,8 +63,9 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     present (ties: lowest id), and prepend it to the order.  The source
     set, in ascending id order, forms the head of the result; the first
     vertex peeled ends up last.  Each row's weights are summed left to
-    right (Graph.row_plan) and a removal subtracts its edge weights in row
-    order, so the order does not depend on the Python version.
+    right from 0.0 (one np.bincount, which adds in input order) and a
+    removal subtracts its edge weights in row order, so the order does
+    not depend on the Python version.
 
     A binary heap holds only the vertices at or below a cut tau.
     Invariant: every remaining vertex whose degree is at most tau has a
@@ -111,8 +112,10 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     # memoryviews read the CSR arrays as Python ints and floats without
     # holding a list of all 2m of them
     ptr, nbrs, wts = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
-    plan = g.row_plan()
-    degs = plan.sums(plan.arrange(g.weights))
+    # float64 also when there is no edge: a weighted bincount of
+    # nothing is int64
+    degs = np.bincount(np.repeat(np.arange(n), np.diff(g.indptr)), g.weights,
+                       minlength=n).astype(np.float64)
     degs[src] = np.nan
     deg = memoryview(degs)
     bits = deg.cast("B").cast("q")

@@ -91,16 +91,23 @@ def group_arrays(g: Graph, order: VertexOrder
     # each edge belongs to the group of its later endpoint; edges fully
     # inside the source prefix belong to no group
     mask = later >= s
-    lat = later[mask] - s
-    w_m = ws[mask]
-    sumw = np.bincount(lat, weights=w_m, minlength=n - s)
-    count = np.bincount(lat, minlength=n - s)
     a = np.arange(s, n, dtype=np.int64)
-    x = sumw / a
-    # nonnegative-term SSE: actual slots around the mean, then zero slots
-    dev = np.bincount(lat, weights=(w_m - x[lat]) ** 2, minlength=n - s)
-    internal = dev + (a - count) * x * x
+    _, x, internal = _slot_stats(later[mask] - s, ws[mask], a)
     return a, x, internal, float(ws[~mask].sum())
+
+
+def _slot_stats(group: np.ndarray, w: np.ndarray, slots: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(total weight, mean slot weight, squared deviation of the slot
+    weights around that mean) of each group j, which has slots[j] pair
+    slots and the edges i with group[i] == j, of weight w[i]; the slots
+    without an edge count as zero-weight slots."""
+    total = np.bincount(group, weights=w, minlength=len(slots))
+    mean = total / slots
+    # nonnegative-term SSE: actual slots around the mean, then zero slots
+    dev = np.bincount(group, weights=(w - mean[group]) ** 2, minlength=len(slots))
+    sse = dev + (slots - np.bincount(group, minlength=len(slots))) * mean * mean
+    return total, mean, sse
 
 
 def _later_positions(g: Graph, order: VertexOrder) -> tuple[np.ndarray, np.ndarray]:
@@ -287,16 +294,17 @@ class Segmenter:
         community densities fail to decrease strictly.
         """
         s = self.order.source_size
-        k = len(cuts) - 1
         block_w, block_m, point_end = self.weight, self.mean, self.end
+        mass = block_w * block_m
 
         breakpoints = [s] + [s + int(point_end[t - 1]) for t in cuts[1:]]
         centroids: list[float] = []
         seg_scores: list[float] = []
-        for j in range(k):
-            b0, b1 = cuts[j], cuts[j + 1]
-            w = float(block_w[b0:b1].sum())
-            mu = float((block_w[b0:b1] * block_m[b0:b1]).sum() / w)
+        densities: list[float] = []
+        cum_w = self._source_w
+        for b0, b1, t in zip(cuts, cuts[1:], breakpoints[1:]):
+            tot = float(mass[b0:b1].sum())
+            mu = tot / float(block_w[b0:b1].sum())
             pooled = float(self.sse[b0:b1].sum()
                            + (block_w[b0:b1] * (block_m[b0:b1] - mu) ** 2).sum())
             p0 = int(point_end[b0 - 1]) if b0 > 0 else 0
@@ -304,25 +312,16 @@ class Segmenter:
             seg_scores.append(pooled + float(self._internal_cum[p1]
                                              - self._internal_cum[p0]))
             centroids.append(mu)
-
-        for j in range(1, k):
-            if not centroids[j] < centroids[j - 1]:
-                raise DensityMonotonicityError(
-                    f"segment centroids not strictly decreasing at segment {j + 1}: "
-                    f"{centroids[j - 1]} then {centroids[j]}")
-
-        cum_w = self._source_w
-        densities: list[float] = []
-        for j in range(k):
-            b0, b1 = cuts[j], cuts[j + 1]
-            cum_w += float((block_w[b0:b1] * block_m[b0:b1]).sum())
-            t = breakpoints[j + 1]
+            cum_w += tot
             densities.append(cum_w / (t * (t - 1) // 2))
-        for j in range(1, k):
-            if not densities[j] < densities[j - 1]:
-                raise DensityMonotonicityError(
-                    f"community densities not strictly decreasing at community {j + 1}: "
-                    f"{densities[j - 1]} then {densities[j]}")
+
+        for what, unit, vals in (("segment centroids", "segment", centroids),
+                                 ("community densities", "community", densities)):
+            for j in range(1, len(vals)):
+                if not vals[j] < vals[j - 1]:
+                    raise DensityMonotonicityError(
+                        f"{what} not strictly decreasing at {unit} {j + 1}: "
+                        f"{vals[j - 1]} then {vals[j]}")
 
         total = 0.0
         for score in seg_scores:  # left to right; sum() compensates since 3.12
@@ -375,23 +374,13 @@ def score_sequence(g: Graph, order: VertexOrder,
         raise ValueError(f"breakpoints must be strictly ascending, got {bps}")
     if s < 1:
         raise ValueError("order must carry a non-empty source prefix")
-    k = len(bps) - 1
 
     later, ws = _later_positions(g, order)
-    inside_src = later < s
-    source_w = float(ws[inside_src].sum())
-    seg = np.searchsorted(np.asarray(bps[1:], dtype=np.int64), later, side="right")
-
-    live = ~inside_src
-    seg_live = seg[live]
-    w_live = ws[live]
-    sumw = np.bincount(seg_live, weights=w_live, minlength=k)
-    cnt = np.bincount(seg_live, minlength=k)
+    live = later >= s
+    source_w = float(ws[~live].sum())
+    seg = np.searchsorted(np.asarray(bps[1:], dtype=np.int64), later[live], side="right")
     pairs = np.array([b * (b - 1) // 2 for b in bps], dtype=np.float64)
-    slots = pairs[1:] - pairs[:-1]
-    mu = sumw / slots
-    dev = np.bincount(seg_live, weights=(w_live - mu[seg_live]) ** 2, minlength=k)
-    seg_score = dev + (slots - cnt) * mu * mu
+    sumw, mu, seg_score = _slot_stats(seg, ws[live], pairs[1:] - pairs[:-1])
 
     cum_w = source_w + np.cumsum(sumw)
     densities = cum_w / pairs[1:]

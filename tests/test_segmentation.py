@@ -386,8 +386,18 @@ def test_discover_multi_source_density_violation_detected():
         ["s1", "s2", "a", "b"],
         [(0, 2, 10.0), (1, 2, 10.0), (0, 3, 8.0), (1, 3, 8.0), (2, 3, 8.0)])
     order = VertexOrder(sequence=[0, 1, 2, 3], source_size=2)
-    with pytest.raises(DensityMonotonicityError):
+    with pytest.raises(DensityMonotonicityError, match="community densities"):
         discover(g, order, 2)
+
+
+def test_sequence_checks_centroids_before_densities():
+    # reversed block means make both the centroids and the densities
+    # rise; the centroids are reported
+    g = path_graph(4)
+    seg = Segmenter(g, sort_vertices(g, {0}))
+    seg.mean = seg.mean[::-1].copy()
+    with pytest.raises(DensityMonotonicityError, match="segment centroids"):
+        seg.sequence([0, 1, 2, 3])
 
 
 def test_single_source_densities_always_decrease():

@@ -162,7 +162,7 @@ def export_dot(g: Graph, seq: CommunitySequence) -> str:
     for pos, v in enumerate(order.sequence):
         color = palette[segment[pos] % len(palette)]
         extra = ", peripheries=2" if pos < s else ""
-        lines.append(f'  "{g.labels[v]}" [fillcolor="{color}"{extra}];')
+        lines.append(f'  {_dot_id(g.labels[v])} [fillcolor="{color}"{extra}];')
     pos_of = order.positions().tolist()
     us, vs, _ = g.edge_arrays()
     edges = sorted(((min(pos_of[u], pos_of[v]), max(pos_of[u], pos_of[v]))
@@ -170,9 +170,15 @@ def export_dot(g: Graph, seq: CommunitySequence) -> str:
     for pu, pv in edges:
         a = g.labels[order.sequence[pu]]
         b = g.labels[order.sequence[pv]]
-        lines.append(f'  "{a}" -- "{b}";')
+        lines.append(f'  {_dot_id(a)} -- {_dot_id(b)};')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_id(label: str) -> str:
+    """``label`` as a DOT double-quoted string, backslashes and quotes
+    escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_tsv(g: Graph, seq: CommunitySequence) -> str:

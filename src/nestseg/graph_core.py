@@ -30,13 +30,12 @@ class Graph:
     ``indices[indptr[v]:indptr[v+1]]`` with the matching ``weights``.
     ``us``, ``vs``, ``ws`` list each edge once with u < v, in row order.
 
-    Neighbor order is fixed by the construction rule: edge i adds
-    a_i -> b_i and then b_i -> a_i, and a stable sort by row keeps that
-    order within each row.  The peel, the densest prefix and the DOT
-    edge list read rows in this order, so it pins their float sums and
-    tie-breaks, hence the reports.  ``with_weights`` gives the graph
-    that the constructor builds from ``us``, ``vs`` and new weights
-    without building it again.
+    Neighbor order is fixed by one rule, which ``_rows`` implements for
+    both the constructor and ``with_weights``: edge i adds a_i -> b_i and
+    then b_i -> a_i, and a stable sort by row keeps that order within
+    each row.  The peel, the densest prefix and the DOT edge list read
+    rows in this order, so it pins their float sums and tie-breaks,
+    hence the reports.
 
     Weights are finite, nonnegative and at most MAX_WEIGHT (2**400);
     self-loops, unknown ids and duplicate edges (either orientation) are
@@ -58,20 +57,11 @@ class Graph:
         w = np.asarray(weights, dtype=np.float64)
         _check_edges(self.labels, a, b, w)
 
-        src = np.column_stack((a, b)).reshape(-1)
-        counts = np.bincount(src, minlength=n)
-        # the stable order by row, without an argsort: sort the distinct
-        # keys row * 2m + position (exact while n * 2m < 2**63) and take
-        # the rows, now ascending, off again
-        rows = src * len(src)
-        rows += np.arange(len(src))
-        rows.sort()
-        src = np.repeat(np.arange(n), counts)
-        rows -= src * len(src)
+        counts = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])
-        self.indices = np.column_stack((b, a)).reshape(-1)[rows]
-        self.weights = np.repeat(w, 2)[rows]
+        self.indices, self.weights = _rows(self.indptr, a, b, w)
+        src = np.repeat(np.arange(n), counts)
         upper = src < self.indices
         self.us, self.vs, self.ws = src[upper], self.indices[upper], self.weights[upper]
         for arr in (self.indptr, self.indices, self.weights, self.us, self.vs, self.ws):
@@ -92,15 +82,9 @@ class Graph:
     def total_edge_count(self) -> int:
         return len(self.us)
 
-    def degree(self, v: int) -> int:
-        """Number of actual incident edges (unweighted)."""
-        return int(self.indptr[v + 1] - self.indptr[v])
-
-    def weighted_degree(self, v: int) -> float:
-        return math.fsum(memoryview(self.weights)[self.indptr[v]:self.indptr[v + 1]])
-
     def weighted_degrees(self) -> list[float]:
-        """weighted_degree(v) of every vertex v, in id order."""
+        """Each vertex's weight sum, correctly rounded as by ``math.fsum``
+        over its row, in id order."""
         w = self.weights
         if (w == np.floor(w)).all() and w.sum() < 2.0**53:
             # integer weights whose float total is below 2**53: their exact
@@ -119,44 +103,41 @@ class Graph:
         return self.us, self.vs, self.ws
 
     def with_weights(self, weights) -> "Graph":
-        """``Graph(self.labels, self.us, self.vs, weights)``, without the
-        rebuild: the same labels and arrays, or the same error.
-
-        By the construction rule, row v of that graph lists v's lower
-        neighbors (edges i with vs[i] == v) in edge order, which is
-        ascending id because ``us`` ascends, then its upper neighbors
-        (us[i] == v) in edge order, which is this graph's row order.  So
-        the rows follow from one sort of the keys vs * m + i, and
-        ``indptr``, ``us``, ``vs`` and the labels are shared.  Only the
-        weights are checked; the edges passed every other check already.
-        """
+        """``Graph(self.labels, self.us, self.vs, weights)``: the same
+        arrays, or the same error, without the checks the edges passed
+        already.  The labels, ``indptr``, ``us`` and ``vs`` are shared."""
         w = np.array(weights, dtype=np.float64)
-        n, m = self.num_vertices, len(self.us)
-        if len(w) != m:
+        if len(w) != len(self.us):
             raise ValueError("edge id and weight arrays differ in length")
         _raise_first_failure(_weight_checks(w))
-        lower = np.bincount(self.vs, minlength=n)  # lower neighbors per row
-        key = self.vs * m  # exact, as n * 2m < 2**63 held at construction
-        key += np.arange(m)
-        key.sort()
-        rows = np.repeat(np.arange(n), lower)
-        key -= rows * m  # the edges of the rows' lower parts, in order
-        below = np.cumsum(lower)  # lower neighbors in rows 0..v
-        # the j-th lower slot is j plus the upper neighbors of the rows
-        # before its own; edge i's upper slot is i plus the lower
-        # neighbors of rows 0..us[i]
-        low = (self.indptr[:-1] - below + lower)[rows] + np.arange(m)
-        up = below[self.us] + np.arange(m)
         g = Graph.__new__(Graph)
         g.labels, g.label_index, g.indptr = self.labels, self.label_index, self.indptr
         g.us, g.vs, g.ws = self.us, self.vs, w
-        g.indices = np.empty(2 * m, dtype=np.int64)
-        g.indices[low], g.indices[up] = self.us[key], self.vs
-        g.weights = np.empty(2 * m, dtype=np.float64)
-        g.weights[low], g.weights[up] = w[key], w
+        g.indices, g.weights = _rows(self.indptr, self.us, self.vs, w)
         for arr in (g.indices, g.weights, g.ws):
             arr.flags.writeable = False
         return g
+
+
+def _rows(indptr: np.ndarray, a: np.ndarray, b: np.ndarray,
+          w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(indices, weights)`` over the rows ``indptr`` of the edges
+    a_i -- b_i of weight w_i: edge i adds a_i -> b_i and then b_i -> a_i,
+    and a stable sort by row keeps that order within each row."""
+    m2 = 2 * len(a)
+    # the stable order by row, without an argsort: sort the distinct keys
+    # row * 2m + position (exact while n * 2m < 2**63) and take the rows,
+    # now ascending, off again
+    keys = np.column_stack((a, b)).reshape(-1)
+    keys *= m2
+    keys += np.arange(m2)
+    keys.sort()
+    keys -= np.repeat(np.arange(len(indptr) - 1) * m2, np.diff(indptr))
+    ends = np.column_stack((b, a)).reshape(-1)
+    indices = ends[keys]
+    del ends
+    keys >>= 1  # position 2i or 2i + 1 belongs to edge i
+    return indices, w[keys]
 
 
 # The largest edge weight accepted.  The duplicate check's int64 codes

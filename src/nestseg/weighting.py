@@ -199,9 +199,9 @@ def apply_weighting(g: Graph, pr: PageRankVector,
                     scheme: WeightingScheme) -> Graph:
     """Re-weight every edge of g from the walk scores; edge set unchanged.
 
-    The result is ``g.with_weights(ws)``, the graph that the constructor
-    builds from g's u < v edge arrays, so its neighbor order follows that
-    edge order rather than g's rows.
+    The result is ``g.with_weights(ws)``, which lays its rows out with
+    the constructor's rule from g's u < v edge arrays: each row lists its
+    neighbors in that edge order, not in g's row order.
     """
     us, vs, ws = g.edge_arrays()
     if scheme is not WeightingScheme.ORIGINAL:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +146,27 @@ def test_dot_output_shape(capsys):
     colors = {ln.split('fillcolor="')[1].split('"')[0]
               for ln in lines if "fillcolor" in ln}
     assert len(colors) == 4
+
+
+def test_dot_output_escapes_quotes_and_backslashes(tmp_path, capsys):
+    path = tmp_path / "quoted.txt"
+    path.write_text('a"b c\\\nc\\ d\nd a"b\nd e\ne f\nf d\n')
+    code, out, _ = run_cli(capsys, "run", "--input", str(path), "-k", "2",
+                           "--format", "dot")
+    assert code == 0
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    node = re.compile(rf'  {quoted} \[fillcolor="#[0-9a-f]{{6}}"(?:, peripheries=2)?\];')
+    edge = re.compile(rf"  {quoted} -- {quoted};")
+    lines = out.splitlines()
+    assert lines[:2] == ["graph communities {", "  node [style=filled];"]
+    assert lines[-1] == "}"
+    nodes = [node.fullmatch(ln) for ln in lines[2:7]]
+    edges = [edge.fullmatch(ln) for ln in lines[7:-1]]
+    assert all(nodes) and all(edges) and len(edges) == 6
+    unescape = functools.partial(re.sub, r"\\(.)", r"\1")
+    assert {unescape(mt[1]) for mt in nodes} == {'a"b', "c\\", "d", "e", "f"}
+    assert {tuple(sorted(map(unescape, mt.groups()))) for mt in edges} == {
+        ('a"b', "c\\"), ("c\\", "d"), ('a"b', "d"), ("d", "e"), ("e", "f"), ("d", "f")}
 
 
 def test_export_subcommand_matches_dot_format(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,8 +99,8 @@ def test_rows_keep_edge_order_seeded():
 def test_zero_weight_edges_are_allowed():
     g = load_edge_list(["a b 0"])
     assert g.total_edge_count == 1
-    assert g.weighted_degree(0) == 0.0
-    assert g.degree(0) == 1
+    assert g.weighted_degrees() == [0.0, 0.0]
+    assert np.diff(g.indptr).tolist() == [1, 1]
 
 
 def test_from_edges_validates():
@@ -116,9 +117,9 @@ def test_from_edges_validates():
 def test_degrees_and_edge_iteration():
     g = load_edge_list(["a b 2", "b c 3", "a c 0.5"])
     a, b, c = (g.label_index[x] for x in "abc")
-    assert g.degree(b) == 2
-    assert g.weighted_degree(b) == 5.0
-    assert g.weighted_degree(a) == 2.5
+    assert np.diff(g.indptr)[b] == 2
+    assert g.weighted_degrees()[b] == 5.0
+    assert g.weighted_degrees()[a] == 2.5
     edges = sorted(edge_list(g))
     assert edges == [(a, b, 2.0), (a, c, 0.5), (b, c, 3.0)]
     us, vs, ws = g.edge_arrays()
@@ -129,7 +130,6 @@ def test_degrees_and_edge_iteration():
 def test_weighted_degrees_match_per_vertex_sums():
     for seed in range(20):
         g = dyadic_graph(seed, 9)
-        assert g.weighted_degrees() == [g.weighted_degree(v) for v in range(9)]
         assert g.weighted_degrees() == [math.fsum(neighbor_weights(g, v).values())
                                         for v in range(9)]
 
@@ -340,6 +340,9 @@ def test_with_weights_matches_the_constructor(karate, lesmis):
             got = g.with_weights(ws)
             assert graph_arrays(got) == graph_arrays(Graph(g.labels, g.us, g.vs, ws))
             assert got.label_index == g.label_index
+            # the structure is shared, not copied
+            assert all(getattr(got, name) is getattr(g, name)
+                       for name in ("labels", "label_index", "indptr", "us", "vs"))
             # and again from a graph that with_weights built
             again = got.with_weights(ws[::-1])
             assert graph_arrays(again) == graph_arrays(
@@ -365,6 +368,32 @@ def test_with_weights_rejects_what_the_constructor_rejects(karate, bad):
     assert errors[0][1] == 7
     with pytest.raises(ValueError, match="differ in length"):
         karate.with_weights(ws[1:])
+
+
+def test_graph_builds_keep_their_temporaries_small():
+    # tracemalloc peak of each build over the bytes of the arrays it makes
+    rng = np.random.default_rng(0)
+    n, m = 20_000, 200_000
+    lo, hi = rng.integers(0, n, (2, m + m // 20))
+    codes = np.unique(np.minimum(lo, hi) * n + np.maximum(lo, hi))
+    codes = rng.permutation(codes[codes // n != codes % n])[:m]
+    labels, heads, tails = [str(v) for v in range(n)], codes // n, codes % n
+    weights, new_weights = rng.random(m), rng.random(m)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        g = Graph(labels, heads, tails, weights)
+        built = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        got = g.with_weights(new_weights)
+        reweighted = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert built < 1.6 * sum(a.nbytes for a in (g.indptr, g.indices, g.weights,
+                                                g.us, g.vs, g.ws))
+    assert reweighted < 1.6 * sum(a.nbytes for a in (got.indices, got.weights, got.ws))
 
 
 # ------------------------------------------------- pair counts and weights
@@ -440,5 +469,5 @@ def test_total_weight_is_conserved_across_views(seed, n):
     g = dyadic_graph(seed, n)
     total = sum(w for _, _, w in edge_list(g))
     assert induced_weight(g, set(range(n))) == total
-    assert sum(g.weighted_degree(v) for v in range(n)) == 2 * total
+    assert sum(g.weighted_degrees()) == 2 * total
     assert math.isclose(g.edge_arrays()[2].sum(), total, abs_tol=0)

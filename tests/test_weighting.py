@@ -164,7 +164,8 @@ def test_scheme_formulas_pointwise():
 
     for u, v, w in edge_list(g):
         assert _edge_weight(wn, u, v) == pytest.approx(
-            p[u] / g.degree(u) + p[v] / g.degree(v), abs=1e-12)
+            p[u] / len(neighbor_weights(g, u)) + p[v] / len(neighbor_weights(g, v)),
+            abs=1e-12)
         assert _edge_weight(ws, u, v) == pytest.approx(p[u] + p[v], abs=1e-12)
         assert _edge_weight(wm, u, v) == pytest.approx(min(p[u], p[v]), abs=1e-12)
         assert _edge_weight(wo, u, v) == w

@@ -23,7 +23,7 @@ from .graph_core import Graph, GraphFormatError, load_edge_list_path
 from .ordering import (VertexOrder, degree_order, hops_levels, pagerank_order,
                        sort_vertices)
 from .segmentation import (CommunitySequence, InfeasibleKError, Segmenter,
-                           discover, group_arrays, score_sequence)
+                           discover, group_arrays, grow_tables, score_sequence)
 from .weighting import (PageRankVector, WeightingScheme, apply_weighting,
                         personalized_pagerank)
 
@@ -203,7 +203,8 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
     and scheme's k=1 score.  The fixed hop-level sequence is scored
     once per scheme at its own community count.  Infeasible cells (k
     exceeding an order's block count) score infinity.  Each (scheme,
-    order) is pooled once and its one DP table answers every k.
+    order) is pooled once; the scheme's three DP tables grow together,
+    one `_dp_row` call per row, and each answers every k.
 
     Returns the JSON report: scores[scheme][order][k], ratios alike,
     wins[scheme][k], hops[scheme] (the hop sequence's score and the
@@ -225,6 +226,7 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
         ratios: dict[str, dict[str, float | None]] = {name: {} for name in orders}
         wins: dict[str, bool] = {}
         segmenters = {name: Segmenter(wg, order) for name, order in orders.items()}
+        grow_tables([seg.table for seg in segmenters.values()], max(k_range, default=1))
         base = {name: seg.discover(1).total_score for name, seg in segmenters.items()}
         for k in k_range:
             cell: dict[str, float] = {}

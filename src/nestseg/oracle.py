@@ -246,6 +246,21 @@ def reference_peel(g: Graph, S: VertexSet) -> list[int]:
     return src + removed
 
 
+def reference_ranked_order(g: Graph, S: VertexSet, score: Sequence[float]
+                           ) -> list[int]:
+    """degree_order / pagerank_order's sequence by a Python sort.
+
+    The sorted source, then every other vertex sorted on the key
+    (-score[v], v).  The orders argsort -score over the ascending ids
+    instead, stably; the two agree because no score is NaN and -0.0
+    ties with 0.0 in both.
+    """
+    src = sorted(S)
+    rest = [v for v in range(g.num_vertices) if v not in S]
+    rest.sort(key=lambda v: (-float(score[v]), v))
+    return src + rest
+
+
 def reference_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
                        use_edge_weights: bool = False, tol: float = 1e-10,
                        max_iter: int = 10000) -> PageRankVector:

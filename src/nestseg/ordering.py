@@ -190,19 +190,18 @@ def hops_levels(g: Graph, S: VertexSet) -> list[set[int]]:
     return levels
 
 
-def _ranked_order(g: Graph, S: VertexSet, score) -> VertexOrder:
+def _ranked_order(g: Graph, S: VertexSet, score: np.ndarray) -> VertexOrder:
     src = sorted(S)
-    rest = [v for v in range(g.num_vertices) if v not in S]
-    rest.sort(key=lambda v: (-score(v), v))
-    return VertexOrder(sequence=src + rest, source_size=len(src))
+    rest = np.delete(np.arange(g.num_vertices), np.array(src, dtype=np.int64))
+    rest = rest[np.argsort(-score[rest], kind="stable")]
+    return VertexOrder(sequence=src + rest.tolist(), source_size=len(src))
 
 
 def degree_order(g: Graph, S: VertexSet) -> VertexOrder:
     """Source first, then descending weighted degree, ties by id."""
-    wdeg = g.weighted_degrees()
-    return _ranked_order(g, S, lambda v: wdeg[v])
+    return _ranked_order(g, S, np.array(g.weighted_degrees()))
 
 
 def pagerank_order(g: Graph, S: VertexSet, pr) -> VertexOrder:
     """Source first, then descending walk score, ties by id."""
-    return _ranked_order(g, S, lambda v: float(pr.p[v]))
+    return _ranked_order(g, S, pr.p)

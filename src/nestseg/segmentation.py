@@ -190,24 +190,27 @@ def _span_cost(prefix: _Prefix, i: np.ndarray, j) -> np.ndarray:
     return np.maximum(sq - sx * sx / w, 0.0)
 
 
-def _dp_row(prefix: _Prefix, prev: np.ndarray, ell: int
+def _dp_row(prefix: _Prefix, prev: np.ndarray, ell: int, edge: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Row ell of the DP from row ell-1, for every end j in [ell, N].
+    """Row ell of the DP from row ell-1, for tables laid end to end.
 
-    best[j] = min over i in [ell-1, j-1] of prev[i] + cost(i, j), and
-    back[j] its smallest minimizing i.  The means strictly decrease,
-    so the cost meets the quadrangle inequality and back[j] is
-    nondecreasing in j: divide and conquer settles the midpoint of
-    every open interval of ends at once, searching only the window
-    [back(left end), back(right end)], so a row takes O(log N) passes
-    of O(N) vectorized work.
+    Table t owns entries [edge[t], edge[t+1]) of prev and the prefix
+    sums, ends 0..n_t, and needs n_t >= ell.  For every end j in
+    [ell, n_t], best[j] = min over i in [ell-1, j-1] of prev[i] +
+    cost(i, j), and back[j] its smallest minimizing i, within the table.
+    The means strictly decrease, so the cost meets the quadrangle
+    inequality and back[j] is nondecreasing in j: divide and conquer
+    settles the midpoint of every open interval of ends at once,
+    searching only the window [back(left end), back(right end)], so a
+    row takes O(log N) passes of O(N) vectorized work.  A table's
+    windows and first minima are its own shifted by edge[t], over the
+    same floats, so its row is bit-identical to the one it gets alone.
     """
-    n = len(prev) - 1
-    best = np.full(n + 1, np.inf)
-    back = np.zeros(n + 1, dtype=np.int64)
+    best = np.full(edge[-1], np.inf)
+    base = np.repeat(edge[:-1], np.diff(edge))
+    back = base.copy()
     # open intervals of ends [lo, hi], predecessor windows [wlo, whi]
-    lo, hi = np.array([ell]), np.array([n])
-    wlo, whi = np.array([ell - 1]), np.array([n - 1])
+    lo, hi, wlo, whi = edge[:-1] + ell, edge[1:] - 1, edge[:-1] + ell - 1, edge[1:] - 2
     while lo.size:
         mid = (lo + hi) // 2
         lens = np.minimum(whi, mid - 1) - wlo + 1
@@ -225,7 +228,7 @@ def _dp_row(prefix: _Prefix, prev: np.ndarray, ell: int
                             np.concatenate([mid[left] - 1, hi[right]]),
                             np.concatenate([wlo[left], arg[right]]),
                             np.concatenate([arg[left], whi[right]]))
-    return best, back
+    return best, back - base
 
 
 class SegmentTable:
@@ -237,7 +240,7 @@ class SegmentTable:
     for every end j, the optimal cost of cutting the first j blocks into
     ell segments and the start of the last one; a row takes O(N log N).
     Rows do not depend on the k asked for, so a table grown to K answers
-    every k <= K.
+    every k <= K.  `grow_tables` builds them, alone or with other tables.
     """
 
     def __init__(self, weights: np.ndarray, means: np.ndarray):
@@ -255,10 +258,7 @@ class SegmentTable:
             raise ValueError(f"k must be >= 1, got {k}")
         if k > self.n:
             raise InfeasibleKError(k, self.n)
-        while len(self._best) <= k:
-            best, back = _dp_row(self._prefix, self._best[-1], len(self._best))
-            self._best.append(best)
-            self._back.append(back)
+        grow_tables([self], k)
         cuts = [self.n]
         for ell in range(k, 0, -1):
             cuts.append(int(self._back[ell][cuts[-1]]))
@@ -266,12 +266,27 @@ class SegmentTable:
         return cuts, float(self._best[k][self.n])
 
 
+def grow_tables(tables: Sequence[SegmentTable], k: int) -> None:
+    """Grow each table to min(k, N) rows, one `_dp_row` call per row for
+    all the tables that lack it; tables already that tall are untouched."""
+    for ell in range(1, k + 1):
+        live = [t for t in tables if len(t._best) == ell <= t.n]
+        if live:
+            prefix = tuple(np.concatenate(p) for p in zip(*(t._prefix for t in live)))
+            edge = np.cumsum([0] + [t.n + 1 for t in live])
+            prev = np.concatenate([t._best[-1] for t in live])
+            best, back = _dp_row(prefix, prev, ell, edge)
+            for t, a, b in zip(live, edge, edge[1:]):
+                t._best.append(best[a:b])
+                t._back.append(back[a:b])
+
+
 class Segmenter:
     """One order's group reduction and pooling, cut at any k on demand.
 
     The pooled blocks are the arrays `end`, `weight`, `mean` and `sse`
-    of `pool_violators`; one DP table over them grows to the largest k
-    asked and answers the smaller ones from its rows.
+    of `pool_violators`; one DP table over them, `table`, grows to the
+    largest k asked and answers the smaller ones from its rows.
     """
 
     def __init__(self, g: Graph, order: VertexOrder):
@@ -281,11 +296,11 @@ class Segmenter:
         self.order = order
         self.end, self.weight, self.mean, self.sse = pool_violators(a, x)
         self._internal_cum = np.concatenate([[0.0], np.cumsum(internal)])
-        self._table = SegmentTable(self.weight, self.mean)
+        self.table = SegmentTable(self.weight, self.mean)
 
     def discover(self, k: int) -> CommunitySequence:
         """The optimal k-sequence, as `discover(g, order, k)` returns it."""
-        return self.sequence(self._table.solve(k)[0])
+        return self.sequence(self.table.solve(k)[0])
 
     def sequence(self, cuts: Sequence[int]) -> CommunitySequence:
         """The community sequence of block cuts, scored and checked.

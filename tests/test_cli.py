@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestseg
+from nestseg import segmentation
 from nestseg.cli import (RunConfig, compare_baselines, dumps_indented, main,
                          resolve_source, run_pipeline)
 from nestseg.graph_core import load_edge_list_path
@@ -228,6 +229,23 @@ def test_compare_ratios_normalized_by_single_community_score():
     assert list(report) == ["k_values", "schemes", "scores", "ratios", "wins",
                             "hops", "cells", "wins_both", "win_rate"]
     assert report["cells"] == 6
+
+
+def test_compare_grows_each_schemes_tables_together(monkeypatch):
+    # one _dp_row call per (scheme, row) fills the row of all three
+    # orders' tables; growing each table alone would take three
+    rows = []
+    real = segmentation._dp_row
+
+    def counted(prefix, prev, ell, edge):
+        rows.append((ell, len(edge) - 1))
+        return real(prefix, prev, ell, edge)
+
+    monkeypatch.setattr(segmentation, "_dp_row", counted)
+    report = compare_baselines(RunConfig(input_path=str(LESMIS)), range(2, 11))
+    # 30 calls: 3 schemes x rows 1..10, each over the scheme's 3 tables
+    assert rows == [(ell, 3) for _ in report["schemes"] for ell in range(1, 11)]
+    assert max(h["k"] for h in report["hops"].values()) <= 10
 
 
 # ------------------------------------------------------------------- verify

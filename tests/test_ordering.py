@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from nestseg.graph_core import Graph
 from nestseg.ordering import (VertexOrder, degree_order, hops_levels,
                               ordered_bits, pagerank_order, sort_vertices)
-from nestseg.oracle import densest_prefix, reference_peel
+from nestseg.oracle import (densest_prefix, random_graph, reference_peel,
+                            reference_ranked_order)
 from nestseg.weighting import (ROW_SUM_WIDTH, RowSumPlan, WeightingScheme,
                                apply_weighting, personalized_pagerank)
 
@@ -407,6 +408,32 @@ def test_pagerank_order_descending_mass():
     # mass decays monotonically along the path from the restart vertex
     assert order.sequence == [0, 1, 2, 3, 4]
     assert order.source_size == 1
+
+
+def test_baseline_orders_match_python_sort_reference():
+    # one stable argsort of -score over the ascending ids gives the
+    # (-score, id) sort: on unit weights (many exact degree ties), on
+    # disconnected graphs (walk score 0.0 off the source's component),
+    # on re-weighted graphs, with sources of 0 to 3 vertices
+    ties = zeros = empty = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        g = random_graph(rng, n, rng.choice([0.02, 0.1, 0.4]),
+                         weighted=seed % 3 == 0, connected=seed % 4 == 0)
+        S = set(rng.sample(range(n), min(n, rng.randint(1, 3))))
+        pr = personalized_pagerank(g, S)
+        g = apply_weighting(g, pr, list(WeightingScheme)[seed % 4]) if seed % 5 == 0 else g
+        wdeg = g.weighted_degrees()
+        for src in (S, set()):
+            assert (degree_order(g, src).sequence
+                    == reference_ranked_order(g, src, wdeg)), seed
+            assert (pagerank_order(g, src, pr).sequence
+                    == reference_ranked_order(g, src, pr.p)), seed
+            empty += not src
+        ties += len(set(wdeg)) < n
+        zeros += bool((pr.p == 0.0).any())
+    assert ties > 20 and zeros > 5 and empty == 60, (ties, zeros, empty)
 
 
 @settings(max_examples=30, deadline=None)

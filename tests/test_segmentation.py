@@ -19,8 +19,8 @@ from nestseg.oracle import (brute_force_antitonic_fit,
                             random_graph, reference_segment_dp)
 from nestseg.segmentation import (DensityMonotonicityError,
                                   InfeasibleKError, Segmenter, SegmentTable,
-                                  discover, group_arrays, pool_violators,
-                                  score_sequence)
+                                  discover, group_arrays, grow_tables,
+                                  pool_violators, score_sequence)
 from nestseg.weighting import (WeightingScheme, apply_weighting,
                                personalized_pagerank)
 
@@ -272,6 +272,50 @@ def test_one_table_answers_every_k():
             assert table.solve(k) == _solve(w, m, k), (trial, k)
         with pytest.raises(InfeasibleKError):
             table.solve(len(w) + 1)
+
+
+def test_joint_growth_bit_identical_to_growing_alone():
+    # tables laid end to end in one _dp_row call per row: each table's
+    # windows are its own shifted by its offset, so every row, and every
+    # answer, equals the one the table gets alone
+    rng = random.Random(1414)
+    short = tall = 0
+    for trial in range(30):
+        blocks = [_random_blocks(rng, rng.randint(1, rng.choice([12, 400])),
+                                 kind=rng.randrange(3))
+                  for _ in range(rng.randint(2, 5))]
+        if len({len(w) for w, _ in blocks}) == 1:
+            blocks.append(_random_blocks(rng, len(blocks[0][0]) % 400 + 1, kind=trial % 3))
+        k = rng.randint(1, 12)
+        tables = [SegmentTable(w, m) for w, m in blocks]
+        # one table already grown past k must be left as it is
+        ahead = rng.randrange(len(tables))
+        if tables[ahead].n > k:
+            tables[ahead].solve(min(k + 3, tables[ahead].n))
+            tall += 1
+        kept = [(list(t._best), list(t._back)) for t in tables]
+        grow_tables(tables, k)
+        for t, (w, m), (best, back) in zip(tables, blocks, kept):
+            top = max(min(k, t.n) + 1, len(best))
+            assert len(t._best) == len(t._back) == top, trial
+            assert all(a is b for a, b in zip(t._best, best))
+            assert all(a is b for a, b in zip(t._back, back))
+            alone = SegmentTable(w, m)
+            grow_tables([alone], k)
+            for ell in range(min(k, t.n) + 1):
+                assert t._best[ell].tobytes() == alone._best[ell].tobytes(), trial
+                assert t._back[ell].tobytes() == alone._back[ell].tobytes(), trial
+            for j in range(1, min(k, t.n) + 1):
+                want = _solve(w, m, j)
+                assert want == reference_segment_dp(w, m, j), (trial, j)
+                rows = len(t._best)
+                assert t.solve(j) == want and len(t._best) == rows, (trial, j)
+            if t.n < k:
+                short += 1
+                with pytest.raises(InfeasibleKError) as exc:
+                    t.solve(t.n + 1)
+                assert exc.value.max_feasible == t.n
+    assert short > 5 and tall > 5, (short, tall)
 
 
 def test_segmenter_matches_discover_at_every_k():

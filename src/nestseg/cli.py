@@ -2,7 +2,9 @@
 
 Subcommands: run (one end-to-end discovery), compare (peel order vs
 degree/walk-score/hop baselines across k and schemes), verify (random
-self-checks against the brute-force oracles), export (DOT rendering).
+self-checks against the brute-force oracles), export (`run --format
+dot`).  RunConfig holds the pipeline's options and is the only home of
+their defaults; the parser reads them from it.
 Exit codes: 0 success, 1 input or configuration error, 2 requested k
 infeasible (more segments than strictly decreasing blocks exist).
 """
@@ -15,7 +17,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,13 +30,12 @@ from .weighting import (PageRankVector, WeightingScheme, apply_weighting,
                         personalized_pagerank)
 
 MAX_DEGREE = "max-degree"
-ORDER_KINDS = ("peel", "degree", "pagerank", "hops")
 COMPARE_SCHEMES = (WeightingScheme.NORM, WeightingScheme.SUM, WeightingScheme.MIN)
 
 
 @dataclass
 class RunConfig:
-    """Everything one end-to-end run needs."""
+    """Everything one end-to-end run needs; the CLI's defaults are these."""
     input_path: str
     source: list[str] | None = None  # None = highest-degree vertex
     k: int = 2
@@ -43,8 +44,6 @@ class RunConfig:
     restart: float = 0.1
     tol: float = 1e-10
     weighted_walk: bool = False
-    output_format: str = "json"
-    output_path: str | None = None
 
 
 def resolve_source(g: Graph, source: list[str] | None) -> set[int]:
@@ -63,20 +62,6 @@ def resolve_source(g: Graph, source: list[str] | None) -> set[int]:
     return ids
 
 
-def _build_order(kind: str, wg: Graph, S: set[int],
-                 pr: PageRankVector | None) -> VertexOrder:
-    if kind == "peel":
-        return sort_vertices(wg, S)
-    if kind == "degree":
-        return degree_order(wg, S)
-    if kind == "pagerank":
-        assert pr is not None
-        return pagerank_order(wg, S, pr)
-    if kind == "hops":
-        return _hops_order(wg, S)[0]
-    raise ValueError(f"unknown order kind {kind!r}")
-
-
 def _hops_order(wg: Graph, S: set[int]) -> tuple[VertexOrder, list[int]]:
     """Breadth-first levels from S, each in ascending id, and the level ends."""
     levels = hops_levels(wg, S)
@@ -85,17 +70,25 @@ def _hops_order(wg: Graph, S: set[int]) -> tuple[VertexOrder, list[int]]:
     return VertexOrder(sequence=seq, source_size=len(S)), ends
 
 
-def _weighted_graph(g: Graph, S: set[int], cfg: RunConfig
-                    ) -> tuple[Graph, PageRankVector | None]:
-    needs_pr = (cfg.scheme is not WeightingScheme.ORIGINAL
-                or cfg.order_kind == "pagerank")
-    pr = None
-    if needs_pr:
-        pr = personalized_pagerank(g, S, restart=cfg.restart,
-                                   use_edge_weights=cfg.weighted_walk,
-                                   tol=cfg.tol)
-    wg = apply_weighting(g, pr, cfg.scheme) if cfg.scheme is not WeightingScheme.ORIGINAL else g
-    return wg, pr
+# order kind -> its order of (wg, S, pr); each call looks its layer
+# function up by name, so a wrapper set on this module takes effect
+ORDERS = {
+    "peel": lambda wg, S, pr: sort_vertices(wg, S),
+    "degree": lambda wg, S, pr: degree_order(wg, S),
+    "pagerank": lambda wg, S, pr: pagerank_order(wg, S, pr),
+    "hops": lambda wg, S, pr: _hops_order(wg, S)[0],
+}
+
+
+def _load(cfg: RunConfig, walk: bool
+          ) -> tuple[Graph, set[int], PageRankVector | None]:
+    """The input graph, its source ids and, if walk, the walk scores."""
+    g = load_edge_list_path(cfg.input_path)
+    S = resolve_source(g, cfg.source)
+    pr = (personalized_pagerank(g, S, restart=cfg.restart,
+                                use_edge_weights=cfg.weighted_walk, tol=cfg.tol)
+          if walk else None)
+    return g, S, pr
 
 
 def run_pipeline(cfg: RunConfig) -> tuple[Graph, CommunitySequence, dict]:
@@ -107,13 +100,13 @@ def run_pipeline(cfg: RunConfig) -> tuple[Graph, CommunitySequence, dict]:
     """
     if cfg.k < 1:
         raise ValueError(f"k must be >= 1, got {cfg.k}")
-    if cfg.order_kind not in ORDER_KINDS:
+    if cfg.order_kind not in ORDERS:
         raise ValueError(f"unknown order {cfg.order_kind!r}")
-    g = load_edge_list_path(cfg.input_path)
-    S = resolve_source(g, cfg.source)
-    wg, pr = _weighted_graph(g, S, cfg)
+    original = cfg.scheme is WeightingScheme.ORIGINAL
+    g, S, pr = _load(cfg, walk=not original or cfg.order_kind == "pagerank")
+    wg = g if original else apply_weighting(g, pr, cfg.scheme)
     del g  # free the unweighted CSR and labels before the peel
-    order = _build_order(cfg.order_kind, wg, S, pr)
+    order = ORDERS[cfg.order_kind](wg, S, pr)
     seq = discover(wg, order, cfg.k)
 
     direct_total, _, _ = score_sequence(wg, order, seq.breakpoints)
@@ -210,17 +203,14 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
     wins[scheme][k], hops[scheme] (the hop sequence's score and the
     peel score at its k), the cell and win counts and the win rate.
     """
-    g = load_edge_list_path(cfg.input_path)
-    S = resolve_source(g, cfg.source)
-    pr = personalized_pagerank(g, S, restart=cfg.restart,
-                               use_edge_weights=cfg.weighted_walk, tol=cfg.tol)
+    g, S, pr = _load(cfg, walk=True)
     report = {"k_values": list(k_range),
               "schemes": [s.value for s in COMPARE_SCHEMES],
               "scores": {}, "ratios": {}, "wins": {}, "hops": {},
               "cells": 0, "wins_both": 0}
     for scheme in COMPARE_SCHEMES:
         wg = apply_weighting(g, pr, scheme)
-        orders = {name: _build_order(name, wg, S, pr)
+        orders = {name: ORDERS[name](wg, S, pr)
                   for name in ("peel", "degree", "pagerank")}
         scores: dict[str, dict[str, float]] = {name: {} for name in orders}
         ratios: dict[str, dict[str, float | None]] = {name: {} for name in orders}
@@ -231,11 +221,7 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
         for k in k_range:
             cell: dict[str, float] = {}
             for name, seg in segmenters.items():
-                try:
-                    total = seg.discover(k).total_score
-                except InfeasibleKError:
-                    total = math.inf
-                cell[name] = total
+                cell[name] = total = _score_or_inf(seg, k)
                 scores[name][str(k)] = total
                 ratios[name][str(k)] = (total / base[name]
                                         if base[name] > 0 and math.isfinite(total)
@@ -252,47 +238,45 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
         if len(bps) > 1:
             hops_score, _, _ = score_sequence(wg, hops_order, bps)
             k_hops = len(bps) - 1
-            try:
-                peel_at = segmenters["peel"].discover(k_hops).total_score
-            except InfeasibleKError:
-                peel_at = math.inf
             report["hops"][scheme.value] = {
                 "k": k_hops,
                 "hops_score": hops_score,
-                "peel_score": peel_at,
+                "peel_score": _score_or_inf(segmenters["peel"], k_hops),
             }
     cells = report["cells"]
     report["win_rate"] = report["wins_both"] / cells if cells else 0.0
     return report
 
 
+def _score_or_inf(seg: Segmenter, k: int) -> float:
+    """The optimal score of seg's order at k; infinity if k is infeasible."""
+    try:
+        return seg.discover(k).total_score
+    except InfeasibleKError:
+        return math.inf
+
+
+# --format -> the text of a run from (wg, seq, report)
+FORMATS = {
+    "json": lambda wg, seq, report: dumps_indented(report) + "\n",
+    "dot": lambda wg, seq, report: export_dot(wg, seq),
+    "tsv": lambda wg, seq, report: export_tsv(wg, seq),
+}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    wg, seq, report = run_pipeline(cfg)
-    if cfg.output_format == "json":
-        text = dumps_indented(report) + "\n"
-    elif cfg.output_format == "dot":
-        text = export_dot(wg, seq)
-    elif cfg.output_format == "tsv":
-        text = export_tsv(wg, seq)
-    else:
-        raise ValueError(f"unknown format {cfg.output_format!r}")
-    _emit(text, cfg.output_path)
+    wg, seq, report = run_pipeline(_config_from_args(args))
+    _emit(FORMATS[args.format](wg, seq, report), args.output)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
     if args.k_min < 1 or args.k_max < args.k_min:
         raise ValueError(f"bad k range {args.k_min}..{args.k_max}")
-    report = compare_baselines(cfg, range(args.k_min, args.k_max + 1))
-    _emit(dumps_indented(report) + "\n", cfg.output_path)
+    report = compare_baselines(_config_from_args(args),
+                               range(args.k_min, args.k_max + 1))
+    _emit(dumps_indented(report) + "\n", args.output)
     return 0
-
-
-def _cmd_export(args: argparse.Namespace) -> int:
-    args.format = "dot"
-    return _cmd_run(args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -339,38 +323,38 @@ def _emit(text: str, path: str | None):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    source = None
-    if getattr(args, "source", None):
-        source = (None if args.source == MAX_DEGREE
-                  else [s for s in args.source.split(",") if s])
-    return RunConfig(
-        input_path=args.input,
-        source=source,
-        k=getattr(args, "k", 2),
-        scheme=WeightingScheme.parse(getattr(args, "scheme", "sum")),
-        order_kind=getattr(args, "order", "peel"),
-        restart=args.restart,
-        tol=args.tol,
-        weighted_walk=args.weighted_walk,
-        output_format=getattr(args, "format", "json"),
-        output_path=getattr(args, "output", None),
-    )
+    """The options the subcommand defines; RunConfig's defaults fill in
+    the rest."""
+    opts = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+            if hasattr(args, f.name)}
+    if "scheme" in opts:
+        opts["scheme"] = WeightingScheme(opts["scheme"])
+    return RunConfig(**opts)
+
+
+def _labels(text: str) -> list[str] | None:
+    """--source as its comma-separated labels; empty text keeps the default."""
+    return [s for s in text.split(",") if s] if text else RunConfig.source
 
 
 def _add_common(p: argparse.ArgumentParser, with_k: bool = True):
-    p.add_argument("--input", required=True, help="edge list file")
-    p.add_argument("--source", default=MAX_DEGREE,
+    """The RunConfig options, each defaulting to its RunConfig field, and
+    --output."""
+    p.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
+                   help="edge list file")
+    p.add_argument("--source", type=_labels, default=RunConfig.source,
                    help=f"comma-separated source labels, or '{MAX_DEGREE}'")
     if with_k:
-        p.add_argument("-k", type=int, default=2, help="number of communities")
-        p.add_argument("--scheme", default="sum",
+        p.add_argument("-k", type=int, default=RunConfig.k, help="number of communities")
+        p.add_argument("--scheme", default=RunConfig.scheme.value,
                        choices=[s.value for s in WeightingScheme])
-        p.add_argument("--order", default="peel", choices=ORDER_KINDS)
-    p.add_argument("--restart", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--order", dest="order_kind", default=RunConfig.order_kind,
+                       choices=ORDERS)
+    p.add_argument("--restart", type=float, default=RunConfig.restart)
+    p.add_argument("--tol", type=float, default=RunConfig.tol)
     p.add_argument("--weighted-walk", action="store_true",
                    help="walk steps proportional to input edge weights")
-    p.add_argument("--output", default=None, help="write here instead of stdout")
+    p.add_argument("--output", help="write here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="one end-to-end discovery")
     _add_common(p_run)
-    p_run.add_argument("--format", default="json", choices=["json", "dot", "tsv"])
+    p_run.add_argument("--format", default="json", choices=FORMATS)
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="peel vs baseline orders")
@@ -399,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("export", help="DOT rendering of a run")
     _add_common(p_exp)
-    p_exp.set_defaults(func=_cmd_export)
+    p_exp.set_defaults(func=_cmd_run, format="dot")
 
     return parser
 

@@ -141,7 +141,7 @@ def pool_violators(weights: np.ndarray, values: np.ndarray
     sse: list[float] = []
     for i, (w, v) in enumerate(zip(np.asarray(weights, dtype=np.float64).tolist(),
                                    np.asarray(values, dtype=np.float64).tolist())):
-        if w <= 0:
+        if not w > 0:  # NaN fails this test too
             raise ValueError(f"point {i}: weight must be positive, got {w}")
         s, e = w * v, 0.0
         while wt and tot[-1] / wt[-1] <= s / w:
@@ -174,7 +174,7 @@ def _centred_prefix_sums(weights: np.ndarray, means: np.ndarray) -> _Prefix:
     """
     A = np.asarray(weights, dtype=np.float64)
     M = np.asarray(means, dtype=np.float64)
-    C = M - (A * M).sum() / A.sum()
+    C = M - (A * M).sum() / A.sum() if len(A) else M
     zero = np.zeros(1)
     return (np.concatenate([zero, np.cumsum(A)]),
             np.concatenate([zero, np.cumsum(A * C)]),

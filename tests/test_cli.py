@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -16,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestseg
-from nestseg import segmentation
+from nestseg import cli, segmentation
 from nestseg.cli import (RunConfig, compare_baselines, dumps_indented, main,
                          resolve_source, run_pipeline)
-from nestseg.graph_core import load_edge_list_path
+from nestseg.graph_core import Graph, load_edge_list_path
 from nestseg.weighting import WeightingScheme
 
 from conftest import KARATE, LESMIS, path_graph
@@ -436,6 +437,48 @@ def test_cli_commands_load_neither_scipy_nor_numpy_ma(tmp_path):
 
 
 # ------------------------------------------------------------------ library
+
+def test_library_and_cli_defaults_agree(capsys):
+    # RunConfig's defaults are the CLI's: a bare command prints what the
+    # library returns for a bare RunConfig
+    _, _, report = run_pipeline(RunConfig(input_path=KARATE_PATH))
+    code, out, err = run_cli(capsys, "run", "--input", KARATE_PATH)
+    assert code == 0, err
+    assert out == dumps_indented(report) + "\n"
+    report = compare_baselines(RunConfig(input_path=str(LESMIS)), range(2, 11))
+    code, out, err = run_cli(capsys, "compare", "--input", str(LESMIS))
+    assert code == 0, err
+    assert out == dumps_indented(report) + "\n"
+
+
+# nestseg.cli globals that every run calls, and the one each order adds
+_RUN_CALLS = ("load_edge_list_path", "resolve_source", "personalized_pagerank",
+              "apply_weighting", "discover", "score_sequence")
+_ORDER_CALLS = {"peel": "sort_vertices", "degree": "degree_order",
+                "pagerank": "pagerank_order", "hops": "hops_levels"}
+
+
+def test_layer_calls_are_looked_up_by_name(monkeypatch, capsys):
+    # perfbench/spans.py times each layer by replacing these module
+    # globals; a dispatch that holds the functions themselves bypasses it
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in (*_RUN_CALLS, *_ORDER_CALLS.values()):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    for order, builder in _ORDER_CALLS.items():
+        calls.clear()
+        code, _, err = run_cli(capsys, "run", "--input", KARATE_PATH, "--order", order)
+        assert code == 0, err
+        assert set(calls) == {*_RUN_CALLS, builder}, order
+    # the tracer counts the loaded graph's edges with it
+    assert isinstance(Graph.total_edge_count, property)
+
 
 def test_resolve_source_default_picks_heaviest():
     g = load_edge_list_path(KARATE_PATH)

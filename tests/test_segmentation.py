@@ -110,8 +110,9 @@ def test_pool_single_block_for_increasing_input():
 
 
 def test_pool_rejects_nonpositive_weight():
-    with pytest.raises(ValueError, match="point 1: weight must be positive"):
-        _pool([(1, 1.0), (0, 2.0)])
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="point 1: weight must be positive"):
+            _pool([(1, 1.0), (bad, 2.0)])
 
 
 def test_pool_of_no_points_is_empty():
@@ -148,6 +149,15 @@ def test_pool_matches_brute_force_fit(points):
 def _solve(weights, means, k):
     """A fresh table's answer."""
     return SegmentTable(weights, means).solve(k)
+
+
+@pytest.mark.filterwarnings("error")
+def test_table_of_no_blocks_is_infeasible_without_warnings():
+    table = SegmentTable(np.array([]), np.array([]))
+    for k in (1, 2):
+        with pytest.raises(InfeasibleKError) as info:
+            table.solve(k)
+        assert (info.value.k, info.value.max_feasible) == (k, 0)
 
 
 def test_dp_trivial_cases():

@@ -114,13 +114,13 @@ def run_pipeline(cfg: RunConfig) -> tuple[Graph, CommunitySequence, dict]:
         raise RuntimeError(
             f"internal score mismatch: {seq.total_score} vs direct {direct_total}")
 
-    labels = wg.labels
+    names = list(map(wg.labels.__getitem__, order.sequence))
     report = {
-        "order": [labels[v] for v in order.sequence],
+        "order": names,
         "breakpoints": list(seq.breakpoints),
         "communities": [
             {
-                "vertices": [labels[v] for v in seq.community(j + 1)],
+                "vertices": names[:seq.breakpoints[j + 1]],  # the order prefix
                 "community_density": seq.community_densities[j],
                 "segment_centroid": seq.segment_centroids[j],
                 "segment_score": seq.segment_scores[j],

@@ -48,7 +48,7 @@ class Graph:
     def __init__(self, labels: list[str], heads, tails, weights):
         """Edge i joins ids heads[i] and tails[i] with weight weights[i]."""
         self.labels = list(labels)
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
+        self.label_index = dict(zip(self.labels, range(len(self.labels))))
         n = len(self.labels)
         if len(self.label_index) != n:
             raise ValueError("vertex labels must be unique")
@@ -60,10 +60,12 @@ class Graph:
         counts = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])
-        self.indices, self.weights = _rows(self.indptr, a, b, w)
+        self.indices, self.weights = _rows(a, b, w)
         src = np.repeat(np.arange(n), counts)
-        upper = src < self.indices
-        self.us, self.vs, self.ws = src[upper], self.indices[upper], self.weights[upper]
+        upper = np.flatnonzero(src < self.indices)
+        self.us = src.take(upper)
+        del src  # before vs and ws are made: it caps the build's peak
+        self.vs, self.ws = self.indices.take(upper), self.weights.take(upper)
         for arr in (self.indptr, self.indices, self.weights, self.us, self.vs, self.ws):
             arr.flags.writeable = False
 
@@ -113,31 +115,31 @@ class Graph:
         g = Graph.__new__(Graph)
         g.labels, g.label_index, g.indptr = self.labels, self.label_index, self.indptr
         g.us, g.vs, g.ws = self.us, self.vs, w
-        g.indices, g.weights = _rows(self.indptr, self.us, self.vs, w)
+        g.indices, g.weights = _rows(self.us, self.vs, w)
         for arr in (g.indices, g.weights, g.ws):
             arr.flags.writeable = False
         return g
 
 
-def _rows(indptr: np.ndarray, a: np.ndarray, b: np.ndarray,
-          w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR ``(indices, weights)`` over the rows ``indptr`` of the edges
-    a_i -- b_i of weight w_i: edge i adds a_i -> b_i and then b_i -> a_i,
-    and a stable sort by row keeps that order within each row."""
+def _rows(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(indices, weights)`` of the edges a_i -- b_i of weight w_i,
+    row after row: edge i adds a_i -> b_i and then b_i -> a_i, and a
+    stable sort by row keeps that order within each row."""
     m2 = 2 * len(a)
+    bits = (m2 - 1).bit_length()
     # the stable order by row, without an argsort: sort the distinct keys
-    # row * 2m + position (exact while n * 2m < 2**63) and take the rows,
-    # now ascending, off again
-    keys = np.column_stack((a, b)).reshape(-1)
-    keys *= m2
-    keys += np.arange(m2)
+    # (row << bits) | position (exact while n << bits < 2**63) and mask
+    # the rows, now ascending, off again
+    ends = np.column_stack((a, b)).reshape(-1)  # position p's row; p ^ 1's end
+    keys = ends << bits
+    keys |= np.arange(m2)
     keys.sort()
-    keys -= np.repeat(np.arange(len(indptr) - 1) * m2, np.diff(indptr))
-    ends = np.column_stack((b, a)).reshape(-1)
-    indices = ends[keys]
+    keys &= (1 << bits) - 1
+    keys ^= 1
+    indices = ends.take(keys)
     del ends
     keys >>= 1  # position 2i or 2i + 1 belongs to edge i
-    return indices, w[keys]
+    return indices, w.take(keys)
 
 
 # The largest edge weight accepted.  The duplicate check's int64 codes
@@ -287,25 +289,36 @@ def load_edge_list_path(path: str) -> Graph:
 
 
 # Bytes of a regular edge-list file: printable ASCII except '#', tab and
-# newline.  Outside it, splitting on _BLANK would disagree with str.split
+# newline.  Outside it, splitting on blanks would disagree with str.split
 # (which also splits on \x0b, \x0c, \x1c-\x1f, \r and Unicode blanks),
 # text mode ends lines at a lone \r, and fixed-width numpy byte strings
-# drop trailing NULs.
+# drop trailing NULs.  Within it, the bytes <= 32 are exactly the blanks
+# tab, newline and space.
 _REGULAR_BYTES = bytes(b for b in range(0x20, 0x7f) if b != ord("#")) + b"\t\n"
-_BLANK = np.zeros(256, dtype=bool)
-_BLANK[[ord("\t"), ord("\n"), ord(" ")]] = True
+# _KEEP[j] keeps the first j bytes of a word; built from bytes, so it
+# holds in either byte order
+_KEEP = np.frombuffer(b"".join(b"\xff" * j + bytes(8 - j) for j in range(9)),
+                      dtype=np.uint64)
 
 
-def _gather(buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Row t is token buf[starts[t]:starts[t] + sizes[t]], NUL-padded to a
-    multiple of 8 bytes.  Gathered column by column: bytes.split would
-    make a Python object of every token."""
-    shortest, longest = int(sizes.min()), int(sizes.max())
-    out = np.zeros((len(starts), -(-longest // 8) * 8), dtype=np.uint8)
-    for j in range(longest):
-        has = slice(None) if j < shortest else np.flatnonzero(sizes > j)
-        out[has, j] = buf[starts[has] + j]
-    return out
+def _read_words(at: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row t is token t, NUL-padded to whole 8-byte words.  ``at[p]`` is
+    the unaligned native-order read of the 8 data bytes from p on, so
+    word j of token t is at[starts[t] + 8j] masked to the token's bytes,
+    and the row's bytes, viewed as "S", are the token.  bytes.split
+    would make a Python object of every token."""
+    first = at[starts]
+    # a clipping take reads _KEEP[min(size, 8)] without an index array
+    first &= _KEEP.take(sizes, mode="clip")
+    if sizes.max() <= 8:
+        return first[:, None]
+    words = np.zeros((len(starts), -(-int(sizes.max()) // 8)), dtype=np.uint64)
+    words[:, 0] = first
+    del first
+    for j in range(8, 8 * words.shape[1], 8):
+        has = np.flatnonzero(sizes > j)
+        words[has, j // 8] = at[starts[has] + j] & _KEEP.take(sizes[has] - j, mode="clip")
+    return words
 
 
 def _pack_bits(words: np.ndarray) -> int | None:
@@ -329,39 +342,38 @@ def _parse_regular(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray] | No
     """
     if not data or data.translate(None, _REGULAR_BYTES):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    blank = _BLANK[buf]
-    # token t spans bytes bounds[2t]:bounds[2t + 1]
-    bounds = np.flatnonzero(blank[:-1] != blank[1:]) + 1
-    if not blank[0]:
-        bounds = np.concatenate(([0], bounds))
-    if not blank[-1]:
-        bounds = np.append(bounds, len(data))
-    del blank
-    starts, sizes = bounds[0::2], bounds[1::2] - bounds[0::2]
-    ends = np.flatnonzero(buf == ord("\n"))  # line ends
-    if data[-1] != ord("\n"):
-        ends = np.append(ends, len(data))
-    cols = int(np.searchsorted(starts, ends[0]))
-    # the number of tokens before the end of line i must be cols * (i + 1)
-    if cols not in (2, 3) or not np.array_equal(
-            np.searchsorted(starts, ends), np.arange(1, len(ends) + 1) * cols):
+    # a blank before the data, a newline after it unless it ends in one,
+    # then 8 NULs: every token now lies between two blanks (bytes <= 32),
+    # every line ends in a newline, and an 8-byte read may start anywhere
+    padded = b"".join((b" ", data, b"" if data[-1] == ord("\n") else b"\n", bytes(8)))
+    buf = np.frombuffer(padded, dtype=np.uint8)
+    cuts = np.flatnonzero(buf <= 32)
+    gaps = np.diff(cuts)
+    token = np.flatnonzero(gaps > 1)  # token t follows cut token[t]
+    eol = np.flatnonzero(buf[cuts] == ord("\n"))  # the cut ending each line
+    # line i must hold tokens cols * i .. cols * (i + 1) - 1
+    cols = len(token) // len(eol)
+    if (cols not in (2, 3) or len(token) != cols * len(eol)
+            or (token[cols - 1::cols] >= eol).any() or (token[cols::cols] < eol[:-1]).any()):
         return None
-    del ends
-
-    starts, sizes = starts.reshape(-1, cols), sizes.reshape(-1, cols)
+    starts = cuts.take(token).reshape(-1, cols)
+    sizes = gaps.take(token).reshape(-1, cols)
+    sizes -= 1
+    # at[c] reads the 8 bytes after the blank at c: the token's first word
+    at = np.ndarray(len(padded) - 8, np.uint64, padded, offset=1, strides=(1,))
+    del padded, buf, cuts, gaps, token, eol
     if cols == 2:
         weights = np.ones(len(starts))
     else:
-        weights = _gather(buf, starts[:, 2], sizes[:, 2])
+        weights = _read_words(at, starts[:, 2], sizes[:, 2])
         try:
-            weights = weights.view(f"S{weights.shape[1]}").ravel().astype(np.float64)
+            weights = weights.view(f"S{8 * weights.shape[1]}").ravel().astype(np.float64)
         except ValueError:
             return None
     # each label as a row of words; the order of the sort does not matter,
     # only that equal labels end up adjacent
-    words = _gather(buf, starts[:, :2].ravel(), sizes[:, :2].ravel()).view(np.uint64)
-    del buf, bounds, starts, sizes
+    words = _read_words(at, starts[:, :2].ravel(), sizes[:, :2].ravel())
+    del at, starts, sizes  # the padded copy goes before the sort
     # np.unique(return_index=True) would sort stably, which takes twice as
     # long; a label's first appearance is the least of its positions
     bits = _pack_bits(words)
@@ -370,17 +382,23 @@ def _parse_regular(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray] | No
         words = words[perm]
     else:
         # sorting the keys themselves is several times faster than an
-        # argsort, and each key carries its word and its position
-        key = words[:, 0].view(np.int64) << bits
+        # argsort, and each key carries its word and its position; the
+        # keys take the words' own buffer, and give it back to the words
+        key = words.reshape(-1).view(np.int64)
+        key <<= bits
         key |= np.arange(len(key))
         key.sort()
-        perm, words = key & ((1 << bits) - 1), (key >> bits).view(np.uint64)[:, None]
-    new = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
-    groups = np.flatnonzero(new)  # where each label's run starts
+        perm = key & ((1 << bits) - 1)
+        key >>= bits
+        words = key.view(np.uint64)[:, None]
+        del key
+    # where each label's run starts, and its labels by first appearance
+    groups = np.flatnonzero(np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1))))
     order = np.argsort(np.minimum.reduceat(perm, groups))
+    uniq = words[groups[order]].view(f"S{8 * words.shape[1]}").ravel()
+    del words
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    ids = np.empty(len(words), dtype=np.int64)
-    ids[perm] = rank[np.cumsum(new) - 1]
-    uniq = words[groups[order]].view(f"S{8 * words.shape[1]}").ravel()
-    return [lab.decode("ascii") for lab in uniq.tolist()], ids, weights
+    ids = np.empty(len(perm), dtype=np.int64)
+    ids[perm] = np.repeat(rank, np.diff(groups, append=len(perm)))
+    return b"\n".join(uniq.tolist()).decode("ascii").split("\n"), ids, weights

@@ -22,7 +22,16 @@ from .graph_core import Graph, VertexSet
 from .ordering import VertexOrder, sort_vertices
 from .segmentation import (InfeasibleKError, SegmentTable,
                            _centred_prefix_sums, _span_cost, pool_violators)
-from .weighting import PageRankVector, _power_iteration
+from .weighting import PageRankVector, WeightingScheme, _power_iteration
+
+
+def parse_scheme(name: str) -> WeightingScheme:
+    """The scheme named name, in any case and with blanks around it."""
+    try:
+        return WeightingScheme(name.strip().lower())
+    except ValueError:
+        valid = ", ".join(s.value for s in WeightingScheme)
+        raise ValueError(f"unknown scheme {name!r} (expected one of {valid})") from None
 
 
 def random_graph(rng: random.Random, n: int, edge_prob: float,

@@ -34,9 +34,6 @@ class VertexOrder:
         pos[np.asarray(self.sequence, dtype=np.int64)] = np.arange(len(pos))
         return pos
 
-    def source(self) -> frozenset[int]:
-        return frozenset(self.sequence[:self.source_size])
-
 
 MAX_INT64 = (1 << 63) - 1
 

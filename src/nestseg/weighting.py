@@ -44,14 +44,6 @@ class WeightingScheme(enum.Enum):
     MIN = "min"
     ORIGINAL = "original"
 
-    @classmethod
-    def parse(cls, name: str) -> "WeightingScheme":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(s.value for s in cls)
-            raise ValueError(f"unknown scheme {name!r} (expected one of {valid})") from None
-
 
 # RowSumPlan adds entry j < ROW_SUM_WIDTH of the rows longer than j in one
 # elementwise add while ROW_SUM_ROWS or more rows are; np.bincount the rest

@@ -314,6 +314,72 @@ def test_whole_file_loader_matches_line_loop_at_the_packing_limit(tmp_path, cols
     _assert_same_load(tmp_path, _star_file(128, "abcdef~", cols) + b"v3 v3\n")
 
 
+@pytest.mark.parametrize("size", [7, 8, 9, 15, 16, 17])
+def test_labels_across_word_boundaries_load_as_the_line_loop(tmp_path, size):
+    # each 8-byte word is masked to its label's bytes: labels that share
+    # their first words, or are a prefix of another, stay apart
+    long = "abcdefghijklmnopqrstu"[:size]
+    labels = [long, long[:-1] + "Z", long[:-1], long + "0", "a", long.upper()]
+    for cols in (2, 3):
+        weight = " 1.5" if cols == 3 else ""
+        lines = [f"{u} {v}{weight}" for u, v in zip(labels, labels[1:] + labels[:1])]
+        data = ("\n".join(lines) + "\n").encode()
+        assert _parse_regular(data) is not None
+        _assert_same_load(tmp_path, data)
+        _assert_same_load(tmp_path, data + f"{labels[2]} {labels[3]}{weight}\n".encode())
+
+
+@pytest.mark.parametrize("token", ["0.3333333333333333", "1.5e-300", "12345678.5",
+                                   "1.0000000000000000000001", "0.1234567", "1e-3",
+                                   "00000000000000000002", "1.5e-3000"])
+def test_weight_tokens_of_any_length_load_as_the_line_loop(tmp_path, token):
+    data = f"a b {token}\nbcdefghij c 2\nc a {token}\n".encode()
+    assert _parse_regular(data) is not None
+    _assert_same_load(tmp_path, data)
+
+
+@pytest.mark.parametrize("data", [
+    b"  \t a b\nb c\n",                      # blanks before the first token
+    b"a b\n \t b c\n\tc d\n",                # blanks at line starts
+    b"a b \t \nb c\t\nc d  \n",              # blanks at line ends
+    b"a  \t b 2\n b \t\tc 3 \t",             # runs everywhere, no final newline
+    b"abcdefghi b\nb abcdefghi",             # last line without its newline
+    b"a b 0.3333333333333333",               # a long last token at the very end
+])
+def test_blank_runs_and_a_missing_final_newline_load_as_the_line_loop(tmp_path, data):
+    assert _parse_regular(data) is not None
+    _assert_same_load(tmp_path, data)
+
+
+def _parse_peak(data: bytes) -> float:
+    """tracemalloc peak of _parse_regular(data) over the size of data."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert _parse_regular(data) is not None
+        return (tracemalloc.get_traced_memory()[1] - before) / len(data)
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_keeps_its_temporaries_small():
+    rng = random.Random(0)
+    # short labels: the per-token index arrays set the peak, about 10x the
+    # file; the gather's padded copy of the file adds 1x
+    short = [str(v) for v in range(5000)]
+    data = "".join(f"{rng.choice(short)} {rng.choice(short)}\n"
+                   for _ in range(50_000)).encode()
+    assert _parse_peak(data) < 11.5
+    # 100-byte labels: the label words take about the file's size, and
+    # the sort holds two copies of them.  A padded copy of the file that
+    # outlived the gather would add 1x during the sort, about 3.2x in all
+    long = [f"{v:0100d}" for v in range(2000)]
+    data = "".join(f"{rng.choice(long)} {rng.choice(long)}\n"
+                   for _ in range(20_000)).encode()
+    assert _parse_peak(data) < 2.8
+
+
 # ------------------------------------------------- with_weights
 
 def _shuffled_graph(rng: np.random.Generator) -> Graph:

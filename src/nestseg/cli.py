@@ -102,10 +102,10 @@ def run_pipeline(cfg: RunConfig) -> tuple[Graph, CommunitySequence, dict]:
         raise ValueError(f"k must be >= 1, got {cfg.k}")
     if cfg.order_kind not in ORDERS:
         raise ValueError(f"unknown order {cfg.order_kind!r}")
-    original = cfg.scheme is WeightingScheme.ORIGINAL
-    g, S, pr = _load(cfg, walk=not original or cfg.order_kind == "pagerank")
-    wg = g if original else apply_weighting(g, pr, cfg.scheme)
-    del g  # free the unweighted CSR and labels before the peel
+    g, S, pr = _load(cfg, walk=cfg.scheme is not WeightingScheme.ORIGINAL
+                     or cfg.order_kind == "pagerank")
+    wg = apply_weighting(g, pr, cfg.scheme)
+    del g  # free the input weights before the peel
     order = ORDERS[cfg.order_kind](wg, S, pr)
     seq = discover(wg, order, cfg.k)
 

@@ -26,16 +26,19 @@ class Graph:
     """Immutable weighted undirected simple graph.
 
     Vertices are dense ids 0..n-1; ``labels[i]`` is the original string
-    label of vertex i.  Row v of the CSR arrays lists v's neighbors
-    ``indices[indptr[v]:indptr[v+1]]`` with the matching ``weights``.
-    ``us``, ``vs``, ``ws`` list each edge once with u < v, in row order.
+    label of vertex i.  ``us``, ``vs``, ``ws`` list each edge once with
+    u < v, by ascending u and, for equal u, in input order.  Row v of
+    the CSR arrays lists v's neighbors ``indices[indptr[v]:indptr[v+1]]``
+    with the matching ``weights``; slot s holds edge ``slot_edge[s]``.
 
-    Neighbor order is fixed by one rule, which ``_rows`` implements for
-    both the constructor and ``with_weights``: edge i adds a_i -> b_i and
-    then b_i -> a_i, and a stable sort by row keeps that order within
-    each row.  The peel, the densest prefix and the DOT edge list read
-    rows in this order, so it pins their float sums and tie-breaks,
-    hence the reports.
+    Every graph lays its rows out from that edge list by one rule,
+    ``_rows``: edge i adds u_i -> v_i and then v_i -> u_i, and a stable
+    sort by row keeps that order within each row.  So row v lists its
+    lower neighbors in edge-list order, then its upper neighbors in
+    input order.  ``with_weights`` keeps the layout and gathers the new
+    weights through ``slot_edge``.  The peel, the densest prefix and the
+    DOT edge list read rows in this order, so it pins their float sums
+    and tie-breaks, hence the reports.
 
     Weights are finite, nonnegative and at most MAX_WEIGHT (2**400);
     self-loops, unknown ids and duplicate edges (either orientation) are
@@ -43,7 +46,7 @@ class Graph:
     """
 
     __slots__ = ("labels", "label_index", "indptr", "indices", "weights",
-                 "us", "vs", "ws")
+                 "us", "vs", "ws", "slot_edge")
 
     def __init__(self, labels: list[str], heads, tails, weights):
         """Edge i joins ids heads[i] and tails[i] with weight weights[i]."""
@@ -55,19 +58,18 @@ class Graph:
         a = np.asarray(heads, dtype=np.int64)
         b = np.asarray(tails, dtype=np.int64)
         w = np.asarray(weights, dtype=np.float64)
-        _check_edges(self.labels, a, b, w)
+        lo, hi = _check_edges(self.labels, a, b, w)
+        by_lo = _by_row(lo)
+        self.us, self.vs, self.ws = lo.take(by_lo), hi.take(by_lo), w.take(by_lo)
+        del a, b, w, lo, hi, by_lo  # before the row layout, which sets the build's peak
 
-        counts = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+        counts = np.bincount(self.us, minlength=n) + np.bincount(self.vs, minlength=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])
-        self.indices, self.weights = _rows(a, b, w)
-        src = np.repeat(np.arange(n), counts)
-        upper = np.flatnonzero(src < self.indices)
-        self.us = src.take(upper)
-        del src  # before vs and ws are made: it caps the build's peak
-        self.vs, self.ws = self.indices.take(upper), self.weights.take(upper)
-        for arr in (self.indptr, self.indices, self.weights, self.us, self.vs, self.ws):
-            arr.flags.writeable = False
+        self.indices, self.slot_edge = _rows(self.us, self.vs)
+        self.weights = self.ws.take(self.slot_edge)
+        for name in self.__slots__[2:]:  # the arrays
+            getattr(self, name).flags.writeable = False
 
     @classmethod
     def from_edges(cls, labels: list[str],
@@ -101,45 +103,51 @@ class Graph:
         return [math.fsum(wts[a:b]) for a, b in zip(ptr, ptr[1:])]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return the (u, v, w) edge arrays, u < v, in row order."""
+        """Return the (u, v, w) edge arrays, u < v, by ascending u."""
         return self.us, self.vs, self.ws
 
     def with_weights(self, weights) -> "Graph":
         """``Graph(self.labels, self.us, self.vs, weights)``: the same
         arrays, or the same error, without the checks the edges passed
-        already.  The labels, ``indptr``, ``us`` and ``vs`` are shared."""
+        already.  The rows keep their layout, so only ``ws`` and
+        ``weights`` are new: ``weights`` gathers ``ws`` through
+        ``slot_edge``, and every other attribute is shared."""
         w = np.array(weights, dtype=np.float64)
         if len(w) != len(self.us):
             raise ValueError("edge id and weight arrays differ in length")
         _raise_first_failure(_weight_checks(w))
         g = Graph.__new__(Graph)
-        g.labels, g.label_index, g.indptr = self.labels, self.label_index, self.indptr
-        g.us, g.vs, g.ws = self.us, self.vs, w
-        g.indices, g.weights = _rows(self.us, self.vs, w)
-        for arr in (g.indices, g.weights, g.ws):
-            arr.flags.writeable = False
+        for name in self.__slots__:
+            setattr(g, name, getattr(self, name))
+        # an index, not take: take copies a read-only index array first
+        g.ws, g.weights = w, w[self.slot_edge]
+        w.flags.writeable = g.weights.flags.writeable = False
         return g
 
 
-def _rows(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR ``(indices, weights)`` of the edges a_i -- b_i of weight w_i,
-    row after row: edge i adds a_i -> b_i and then b_i -> a_i, and a
-    stable sort by row keeps that order within each row."""
-    m2 = 2 * len(a)
-    bits = (m2 - 1).bit_length()
-    # the stable order by row, without an argsort: sort the distinct keys
-    # (row << bits) | position (exact while n << bits < 2**63) and mask
-    # the rows, now ascending, off again
-    ends = np.column_stack((a, b)).reshape(-1)  # position p's row; p ^ 1's end
-    keys = ends << bits
-    keys |= np.arange(m2)
+def _by_row(rows: np.ndarray) -> np.ndarray:
+    """The positions of ``rows`` in a stable sort by row, without an
+    argsort: sort the distinct keys (row << bits) | position (exact
+    while max(rows) << bits < 2**63) and mask the rows off again."""
+    bits = (len(rows) - 1).bit_length()
+    keys = rows << bits
+    keys |= np.arange(len(rows))
     keys.sort()
     keys &= (1 << bits) - 1
+    return keys
+
+
+def _rows(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``indices`` of the edges us_i -- vs_i, row after row, and
+    the edge of each slot: edge i adds us_i -> vs_i and then vs_i -> us_i,
+    and a stable sort by row keeps that order within each row."""
+    ends = np.column_stack((us, vs)).reshape(-1)  # position p's row; p ^ 1's end
+    keys = _by_row(ends)
     keys ^= 1
     indices = ends.take(keys)
     del ends
     keys >>= 1  # position 2i or 2i + 1 belongs to edge i
-    return indices, w.take(keys)
+    return indices, keys
 
 
 # The largest edge weight accepted.  The duplicate check's int64 codes
@@ -154,8 +162,9 @@ MAX_WEIGHT = 2.0 ** 400
 
 
 def _check_edges(labels: list[str], a: np.ndarray, b: np.ndarray,
-                 w: np.ndarray) -> None:
-    """Raise GraphFormatError naming the first invalid edge, if any.
+                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raise GraphFormatError naming the first invalid edge, if any;
+    return each edge's lower and upper end.
 
     Per edge, the first failing check in this order is reported: id
     range, self-loop, finite weight, nonnegative weight, weight at most
@@ -178,6 +187,7 @@ def _check_edges(labels: list[str], a: np.ndarray, b: np.ndarray,
         *_weight_checks(w),
         (repeat, lambda i: f"duplicate edge ({labels[a[i]]!r},{labels[b[i]]!r})"),
     ])
+    return lo, hi
 
 
 def _weight_checks(w: np.ndarray) -> list:
@@ -214,8 +224,8 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
 
     Returns
     -------
-    Graph with vertices numbered in first-appearance order and edges in
-    file order.
+    Graph with vertices numbered in first-appearance order; edges with
+    the same lower end keep their file order (see ``Graph``).
 
     Raises
     ------

@@ -65,10 +65,6 @@ class CommunitySequence:
     def k(self) -> int:
         return len(self.breakpoints) - 1
 
-    def community(self, j: int) -> list[int]:
-        """Vertex ids of the j-th nested community (1-based), source included."""
-        return list(self.order.sequence[:self.breakpoints[j]])
-
 
 def group_arrays(g: Graph, order: VertexOrder
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

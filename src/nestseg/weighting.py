@@ -187,27 +187,29 @@ def _power_iteration(step, dangling: np.ndarray, src: list[int],
         residual)
 
 
-def apply_weighting(g: Graph, pr: PageRankVector,
+def apply_weighting(g: Graph, pr: PageRankVector | None,
                     scheme: WeightingScheme) -> Graph:
     """Re-weight every edge of g from the walk scores; edge set unchanged.
 
-    The result is ``g.with_weights(ws)``, which lays its rows out with
-    the constructor's rule from g's u < v edge arrays: each row lists its
-    neighbors in that edge order, not in g's row order.
+    ``ORIGINAL`` returns g itself and needs no scores (pr may be None).
+    Any other scheme returns ``g.with_weights(ws)``: the rows keep g's
+    layout, which every graph takes from its u < v edge list, and only
+    the weights are new.
     """
-    us, vs, ws = g.edge_arrays()
-    if scheme is not WeightingScheme.ORIGINAL:
-        p = pr.p
-        if len(p) != g.num_vertices:
-            raise ValueError("score vector does not cover all vertices")
-        pu, pv = p[us], p[vs]
-        if scheme is WeightingScheme.NORM:
-            deg = np.diff(g.indptr).astype(np.float64)
-            ws = pu / deg[us] + pv / deg[vs]
-        elif scheme is WeightingScheme.SUM:
-            ws = pu + pv
-        elif scheme is WeightingScheme.MIN:
-            ws = np.minimum(pu, pv)
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled scheme {scheme}")
+    if scheme is WeightingScheme.ORIGINAL:
+        return g
+    p = pr.p
+    if len(p) != g.num_vertices:
+        raise ValueError("score vector does not cover all vertices")
+    us, vs, _ = g.edge_arrays()
+    pu, pv = p[us], p[vs]
+    if scheme is WeightingScheme.NORM:
+        deg = np.diff(g.indptr).astype(np.float64)
+        ws = pu / deg[us] + pv / deg[vs]
+    elif scheme is WeightingScheme.SUM:
+        ws = pu + pv
+    elif scheme is WeightingScheme.MIN:
+        ws = np.minimum(pu, pv)
+    else:  # pragma: no cover
+        raise ValueError(f"unhandled scheme {scheme}")
     return g.with_weights(ws)

@@ -33,8 +33,8 @@ def edge_list(g: Graph) -> list[tuple[int, int, float]]:
 
 
 def graph_arrays(g: Graph) -> tuple[list[str], list[tuple[str, bytes]]]:
-    """The labels and the dtype and bytes of each of the six arrays."""
-    arrays = (g.indptr, g.indices, g.weights, g.us, g.vs, g.ws)
+    """The labels and the dtype and bytes of each of the seven arrays."""
+    arrays = (g.indptr, g.indices, g.weights, g.us, g.vs, g.ws, g.slot_edge)
     return g.labels, [(a.dtype.str, a.tobytes()) for a in arrays]
 
 

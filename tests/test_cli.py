@@ -7,6 +7,7 @@ import functools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -21,7 +22,8 @@ from nestseg import cli, segmentation
 from nestseg.cli import (RunConfig, compare_baselines, dumps_indented, main,
                          resolve_source, run_pipeline)
 from nestseg.graph_core import Graph, load_edge_list_path
-from nestseg.weighting import WeightingScheme
+from nestseg.ordering import sort_vertices
+from nestseg.weighting import WeightingScheme, apply_weighting, personalized_pagerank
 
 from conftest import KARATE, LESMIS, path_graph
 
@@ -449,6 +451,43 @@ def test_library_and_cli_defaults_agree(capsys):
     code, out, err = run_cli(capsys, "compare", "--input", str(LESMIS))
     assert code == 0, err
     assert out == dumps_indented(report) + "\n"
+
+
+def _float_weighted_edge_file(rng: random.Random, path: Path) -> None:
+    """A random graph on 5-60 vertices, its edges in random order and
+    orientation, with weights whose row sums depend on the order they
+    are added in: random floats, tenths and thirds."""
+    n = rng.randint(5, 60)
+    pairs = rng.sample([(a, b) for a in range(n) for b in range(a + 1, n)],
+                       rng.randint(n, min(4 * n, n * (n - 1) // 2)))
+    draws = (rng.random, lambda: 0.1 * rng.randint(1, 30), lambda: rng.randint(1, 9) / 3)
+    lines = []
+    for a, b in pairs:
+        if rng.random() < 0.5:
+            a, b = b, a
+        lines.append(f"v{a} v{b} {rng.choice(draws)()!r}\n")
+    path.write_text("".join(lines))
+
+
+def test_original_scheme_peels_the_library_graph(tmp_path, capsys):
+    # run --scheme original peels the rows of the graph that the library
+    # path apply_weighting(g, pr, ORIGINAL) gives, so both peel orders agree
+    # even where a row's float sum depends on the order of its neighbors
+    rng = random.Random(7)
+    path = tmp_path / "float.txt"
+    for trial in range(80):
+        _float_weighted_edge_file(rng, path)
+        g = load_edge_list_path(str(path))
+        S = resolve_source(g, None)
+        wg = apply_weighting(g, personalized_pagerank(g, S), WeightingScheme.ORIGINAL)
+        names = [wg.labels[v] for v in sort_vertices(wg, S).sequence]
+        code, out, err = run_cli(capsys, "run", "--input", str(path), "-k", "1",
+                                 "--scheme", "original")
+        assert code == 0, err
+        assert json.loads(out)["order"] == names, trial
+        _, _, report = run_pipeline(RunConfig(input_path=str(path), k=1,
+                                              scheme=WeightingScheme.ORIGINAL))
+        assert out == dumps_indented(report) + "\n"
 
 
 # nestseg.cli globals that every run calls, and the one each order adds

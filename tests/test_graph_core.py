@@ -79,6 +79,9 @@ def test_rows_keep_edge_order():
 
 
 def test_rows_keep_edge_order_seeded():
+    # the edge list runs by ascending lower end, in input order within
+    # each; row v lists its lower neighbors in that order (ascending id),
+    # then its upper neighbors in input order, each with its weight
     rng = random.Random(11)
     for _ in range(30):
         n = rng.randint(2, 40)
@@ -87,13 +90,15 @@ def test_rows_keep_edge_order_seeded():
         edges = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in pairs]
         g = Graph.from_edges([str(v) for v in range(n)],
                              [(a, b, float(i)) for i, (a, b) in enumerate(edges)])
-        rows = [[] for _ in range(n)]
-        for i, (a, b) in enumerate(edges):
-            rows[a].append((b, float(i)))
-            rows[b].append((a, float(i)))
+        ranked = sorted((min(e), i, max(e)) for i, e in enumerate(edges))
+        assert edge_list(g) == [(u, v, float(i)) for u, i, v in ranked]
         for v in range(n):
+            lower = sorted((min(e), float(i)) for i, e in enumerate(edges) if max(e) == v)
+            upper = [(max(e), float(i)) for i, e in enumerate(edges) if min(e) == v]
             lo, hi = g.indptr[v], g.indptr[v + 1]
-            assert list(zip(g.indices[lo:hi].tolist(), g.weights[lo:hi].tolist())) == rows[v]
+            assert list(zip(g.indices[lo:hi].tolist(), g.weights[lo:hi].tolist())) \
+                == lower + upper
+            assert (g.ws[g.slot_edge[lo:hi]] == g.weights[lo:hi]).all()
 
 
 def test_zero_weight_edges_are_allowed():
@@ -171,7 +176,7 @@ def test_weighted_degrees_fall_back_to_fsum():
 # ------------------------------------------ whole-file loader vs the loop
 
 def _loaded(load, path):
-    """Labels and the six arrays of load(path), or its error."""
+    """Labels and the seven arrays of load(path), or its error."""
     try:
         g = load(path)
     except (GraphFormatError, UnicodeDecodeError) as exc:
@@ -408,13 +413,14 @@ def test_with_weights_matches_the_constructor(karate, lesmis):
             assert got.label_index == g.label_index
             # the structure is shared, not copied
             assert all(getattr(got, name) is getattr(g, name)
-                       for name in ("labels", "label_index", "indptr", "us", "vs"))
+                       for name in ("labels", "label_index", "indptr", "indices",
+                                    "us", "vs", "slot_edge"))
             # and again from a graph that with_weights built
             again = got.with_weights(ws[::-1])
             assert graph_arrays(again) == graph_arrays(
                 Graph(g.labels, g.us, g.vs, ws[::-1]))
             assert all(not a.flags.writeable
-                       for a in (got.indices, got.weights, got.ws))
+                       for a in (got.indices, got.weights, got.ws, got.slot_edge))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0,
@@ -459,7 +465,9 @@ def test_graph_builds_keep_their_temporaries_small():
         tracemalloc.stop()
     assert built < 1.6 * sum(a.nbytes for a in (g.indptr, g.indices, g.weights,
                                                 g.us, g.vs, g.ws))
-    assert reweighted < 1.6 * sum(a.nbytes for a in (got.indices, got.weights, got.ws))
+    # with_weights makes only the weights, and shares the structure; the
+    # weight checks' masks take an eighth of ws
+    assert reweighted < 1.25 * sum(a.nbytes for a in (got.weights, got.ws))
 
 
 # ------------------------------------------------- pair counts and weights

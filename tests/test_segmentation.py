@@ -397,9 +397,9 @@ def test_discover_path_three_communities():
     assert seq.segment_centroids == pytest.approx([1.0, 0.5, 1 / 3])
     assert seq.community_densities == pytest.approx([1.0, 2 / 3, 0.5])
     assert seq.k == 3
-    # community(j) lists the vertices of nested community j in order
-    assert seq.community(1) == [0, 1]
-    assert seq.community(3) == [0, 1, 2, 3]
+    # nested community j is the order prefix up to breakpoints[j]
+    assert seq.order.sequence[:seq.breakpoints[1]] == [0, 1]
+    assert seq.order.sequence[:seq.breakpoints[3]] == [0, 1, 2, 3]
 
 
 def test_discover_path_fewer_communities():

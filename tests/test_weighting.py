@@ -173,11 +173,14 @@ def test_scheme_formulas_pointwise():
 
 def test_reweighted_graph_is_the_constructors(karate, lesmis):
     # every scheme's graph is the one the constructor builds from g's
-    # u < v edge arrays and the new weights, array for array
+    # u < v edge arrays and the new weights, array for array; so is g,
+    # which ORIGINAL returns as it is
     cases = [_walk_graph(seed) for seed in range(20)]
     cases += [(karate, {0}), (lesmis, {0, 11, 48}), (Graph(["a", "b"], [], [], []), {1})]
     for g, S in cases:
+        assert graph_arrays(g) == graph_arrays(Graph(g.labels, g.us, g.vs, g.ws))
         pr = personalized_pagerank(g, S)
+        assert apply_weighting(g, pr, WeightingScheme.ORIGINAL) is g
         for scheme in WeightingScheme:
             wg = apply_weighting(g, pr, scheme)
             assert graph_arrays(wg) == graph_arrays(Graph(g.labels, g.us, g.vs, wg.ws))

@@ -51,9 +51,8 @@ def resolve_source(g: Graph, source: list[str] | None) -> set[int]:
     if g.num_vertices == 0:
         raise ValueError("graph has no vertices")
     if source is None or source == [MAX_DEGREE]:
-        wdeg = g.weighted_degrees()
-        # max returns the first maximum, the lowest id among ties
-        return {max(range(g.num_vertices), key=wdeg.__getitem__)}
+        # argmax returns the first maximum, the lowest id among ties
+        return {int(np.argmax(g.weighted_degrees()))}
     ids = set()
     for label in source:
         if label not in g.label_index:
@@ -195,23 +194,28 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
     most both baseline scores.  Ratios are normalized by the same order
     and scheme's k=1 score.  The fixed hop-level sequence is scored
     once per scheme at its own community count.  Infeasible cells (k
-    exceeding an order's block count) score infinity.  Each (scheme,
-    order) is pooled once; the scheme's three DP tables grow together,
-    one `_dp_row` call per row, and each answers every k.
+    exceeding an order's block count) score infinity.  The walk-score
+    and hop orders read no weight, so each is built once per run.  Each
+    (scheme, order) is pooled once; the scheme's three DP tables grow
+    together, one `_dp_row` call per row, and each answers every k.
 
     Returns the JSON report: scores[scheme][order][k], ratios alike,
     wins[scheme][k], hops[scheme] (the hop sequence's score and the
     peel score at its k), the cell and win counts and the win rate.
     """
     g, S, pr = _load(cfg, walk=True)
+    # the walk scores are the input graph's, and the hop levels read
+    # only the rows' neighbors
+    walk_order = ORDERS["pagerank"](g, S, pr)
+    hops_order, bps = _hops_order(g, S)
     report = {"k_values": list(k_range),
               "schemes": [s.value for s in COMPARE_SCHEMES],
               "scores": {}, "ratios": {}, "wins": {}, "hops": {},
               "cells": 0, "wins_both": 0}
     for scheme in COMPARE_SCHEMES:
         wg = apply_weighting(g, pr, scheme)
-        orders = {name: ORDERS[name](wg, S, pr)
-                  for name in ("peel", "degree", "pagerank")}
+        orders = {name: ORDERS[name](wg, S, pr) for name in ("peel", "degree")}
+        orders["pagerank"] = walk_order
         scores: dict[str, dict[str, float]] = {name: {} for name in orders}
         ratios: dict[str, dict[str, float | None]] = {name: {} for name in orders}
         wins: dict[str, bool] = {}
@@ -234,7 +238,6 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
         report["ratios"][scheme.value] = ratios
         report["wins"][scheme.value] = wins
 
-        hops_order, bps = _hops_order(wg, S)
         if len(bps) > 1:
             hops_score, _, _ = score_sequence(wg, hops_order, bps)
             k_hops = len(bps) - 1

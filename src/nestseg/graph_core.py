@@ -36,9 +36,12 @@ class Graph:
     sort by row keeps that order within each row.  So row v lists its
     lower neighbors in edge-list order, then its upper neighbors in
     input order.  ``with_weights`` keeps the layout and gathers the new
-    weights through ``slot_edge``.  The peel, the densest prefix and the
-    DOT edge list read rows in this order, so it pins their float sums
-    and tie-breaks, hence the reports.
+    weights through ``slot_edge``.  No output depends on the order
+    within a row: a vertex's weight sum is added in edge-list order
+    (``vertex_sums``) or correctly rounded (``weighted_degrees``), the
+    peel takes each edge off a vertex's degree once, the walk sorts each
+    row by column, and segmentation and the DOT edge list read the edge
+    list.
 
     Weights are finite, nonnegative and at most MAX_WEIGHT (2**400);
     self-loops, unknown ids and duplicate edges (either orientation) are
@@ -86,21 +89,29 @@ class Graph:
     def total_edge_count(self) -> int:
         return len(self.us)
 
-    def weighted_degrees(self) -> list[float]:
+    def vertex_sums(self) -> np.ndarray:
+        """Each vertex's weight sum, in id order: its edges' weights added
+        left to right from 0.0 in edge-list order, by one np.bincount,
+        which adds in input order.  Row v lists its slots in that order,
+        so this is also its row's running sum."""
+        ends = np.column_stack((self.us, self.vs)).reshape(-1)
+        # float64 also when there is no edge: a weighted bincount of
+        # nothing is int64
+        return np.bincount(ends, np.repeat(self.ws, 2), minlength=self.num_vertices
+                           ).astype(np.float64, copy=False)
+
+    def weighted_degrees(self) -> np.ndarray:
         """Each vertex's weight sum, correctly rounded as by ``math.fsum``
-        over its row, in id order."""
-        w = self.weights
+        over its row, in id order (float64)."""
+        w = self.ws
         if (w == np.floor(w)).all() and w.sum() < 2.0**53:
             # integer weights whose float total is below 2**53: their exact
             # total is too (rounding nonnegative sums is monotone), so every
-            # partial sum in any order is an integer below 2**53 and exact.
-            # A row's running-sum difference is then its exact sum, which
-            # is what fsum returns
-            run = np.zeros(len(w) + 1)
-            np.cumsum(w, out=run[1:])
-            return (run[self.indptr[1:]] - run[self.indptr[:-1]]).tolist()
+            # partial sum of a vertex's weights, in any order, is an integer
+            # below 2**53 and exact, and vertex_sums is what fsum returns
+            return self.vertex_sums()
         ptr, wts = self.indptr.tolist(), memoryview(self.weights)
-        return [math.fsum(wts[a:b]) for a, b in zip(ptr, ptr[1:])]
+        return np.array([math.fsum(wts[a:b]) for a, b in zip(ptr, ptr[1:])])
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return the (u, v, w) edge arrays, u < v, by ascending u."""

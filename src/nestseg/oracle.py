@@ -219,21 +219,22 @@ def reference_peel(g: Graph, S: VertexSet) -> list[int]:
     The same peel with plain lazy deletion, every vertex in the heap
     from the start and one push per decrement: an entry is stale when its
     vertex is gone or its weight is no longer the vertex's weighted
-    degree, and stale entries stay in the heap until popped.  Same
-    per-row sums and row-order decrements, so the weighted degrees, and
-    hence the order, are bit-identical to sort_vertices.
+    degree, and stale entries stay in the heap until popped.  The same
+    start degrees, each vertex's weights added left to right in
+    edge-list order, and the same decrements, one per edge of a removed
+    vertex, so the weighted degrees, and hence the order, are
+    bit-identical to sort_vertices.
     """
     n = g.num_vertices
     src = sorted(S)
     in_source = bytearray(n)
     for v in src:
         in_source[v] = 1
-    ptr, nbrs, wts = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
     wdeg = [0.0] * n
-    for v in range(n):
-        if not in_source[v]:
-            for j in range(ptr[v], ptr[v + 1]):  # left to right, as row_sums
-                wdeg[v] += wts[j]
+    for u, v, w in zip(*(a.tolist() for a in g.edge_arrays())):
+        wdeg[u] += w
+        wdeg[v] += w
+    ptr, nbrs, wts = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
     heap = [(wdeg[v], v) for v in range(n) if not in_source[v]]
     heapq.heapify(heap)
     present = bytearray([1]) * n
@@ -275,25 +276,25 @@ def reference_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
                        max_iter: int = 10000) -> PageRankVector:
     """personalized_pagerank(g, S, ...) with the walk operator built from
     the u < v edge arrays by plain loops: each row lists (column,
-    weight) in ascending column order, a row's strength is
-    np.add.reduceat of its weights (the call that scipy's
-    ``A.sum(axis=1)`` makes), and a step adds each row's products
-    weight / strength[x] * p[x] left to right from 0.0, as scipy's
-    csr_matvec does.  Same power iteration, so p, residual and
-    iterations are bit-identical."""
+    weight) in ascending column order, a vertex's strength adds its
+    weights left to right from 0.0 in edge-list order, and a step adds
+    each row's products weight / strength[x] * p[x] left to right from
+    0.0, as scipy's csr_matvec does.  Same power iteration, so p,
+    residual and iterations are bit-identical."""
     n = g.num_vertices
     us, vs, ws = g.edge_arrays()
     data = ws.tolist() if use_edge_weights else [1.0] * len(us)
     # symmetric weight matrix; rows index the walker's current vertex
     rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    strength = [0.0] * n
     for u, v, w in zip(us.tolist(), vs.tolist(), data):
         rows[u].append((v, w))
         rows[v].append((u, w))
-    strength = np.zeros(n)
-    for v, row in enumerate(rows):
+        strength[u] += w
+        strength[v] += w
+    for row in rows:
         row.sort()
-        if row:
-            strength[v] = np.add.reduceat(np.array([w for _, w in row]), [0])[0]
+    strength = np.array(strength)
     dangling = strength == 0.0
     inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, strength)).tolist()
     # step operator transposed: row y lists A[x, y] / strength[x] by x

@@ -59,10 +59,10 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     vertex with the smallest total weight of edges to the vertices still
     present (ties: lowest id), and prepend it to the order.  The source
     set, in ascending id order, forms the head of the result; the first
-    vertex peeled ends up last.  Each row's weights are summed left to
-    right from 0.0 (one np.bincount, which adds in input order) and a
-    removal subtracts its edge weights in row order, so the order does
-    not depend on the Python version.
+    vertex peeled ends up last.  The degrees start as ``g.vertex_sums()``,
+    added left to right in edge-list order, and a removal subtracts each
+    of its edge weights from the other end once, so the order depends
+    neither on the Python version nor on the order within a row.
 
     A binary heap holds only the vertices at or below a cut tau.
     Invariant: every remaining vertex whose degree is at most tau has a
@@ -109,10 +109,7 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     # memoryviews read the CSR arrays as Python ints and floats without
     # holding a list of all 2m of them
     ptr, nbrs, wts = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
-    # float64 also when there is no edge: a weighted bincount of
-    # nothing is int64
-    degs = np.bincount(np.repeat(np.arange(n), np.diff(g.indptr)), g.weights,
-                       minlength=n).astype(np.float64)
+    degs = g.vertex_sums()
     degs[src] = np.nan
     deg = memoryview(degs)
     bits = deg.cast("B").cast("q")
@@ -196,7 +193,7 @@ def _ranked_order(g: Graph, S: VertexSet, score: np.ndarray) -> VertexOrder:
 
 def degree_order(g: Graph, S: VertexSet) -> VertexOrder:
     """Source first, then descending weighted degree, ties by id."""
-    return _ranked_order(g, S, np.array(g.weighted_degrees()))
+    return _ranked_order(g, S, g.weighted_degrees())
 
 
 def pagerank_order(g: Graph, S: VertexSet, pr) -> VertexOrder:

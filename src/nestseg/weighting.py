@@ -134,10 +134,7 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
     key += g.indices
     if use_edge_weights:
         by_col = np.argsort(key)
-        cols, w = g.indices[by_col], g.weights[by_col]
-        full = np.flatnonzero(np.diff(g.indptr))
-        strength = np.zeros(n)  # by the call that scipy's A.sum(axis=1) makes
-        strength[full] = np.add.reduceat(w, g.indptr[full])
+        cols, w, strength = g.indices[by_col], g.weights[by_col], g.vertex_sums()
     else:
         key.sort()
         cols, strength = np.remainder(key, n, out=key), np.diff(g.indptr).astype(float)

@@ -104,7 +104,10 @@ def test_rows_keep_edge_order_seeded():
 def test_zero_weight_edges_are_allowed():
     g = load_edge_list(["a b 0"])
     assert g.total_edge_count == 1
-    assert g.weighted_degrees() == [0.0, 0.0]
+    assert np.array_equal(g.weighted_degrees(), [0.0, 0.0])
+    edgeless = Graph.from_edges(["a", "b"], [])
+    for sums in (edgeless.vertex_sums(), edgeless.weighted_degrees()):
+        assert sums.dtype == np.float64 and sums.tolist() == [0.0, 0.0]
     assert np.diff(g.indptr).tolist() == [1, 1]
 
 
@@ -135,14 +138,18 @@ def test_degrees_and_edge_iteration():
 def test_weighted_degrees_match_per_vertex_sums():
     for seed in range(20):
         g = dyadic_graph(seed, 9)
-        assert g.weighted_degrees() == [math.fsum(neighbor_weights(g, v).values())
-                                        for v in range(9)]
+        assert np.array_equal(g.weighted_degrees(),
+                              [math.fsum(neighbor_weights(g, v).values()) for v in range(9)])
 
 
 
-def _fsum_rows(g: Graph) -> list[float]:
-    return [math.fsum(g.weights[a:b].tolist())
-            for a, b in zip(g.indptr[:-1].tolist(), g.indptr[1:].tolist())]
+def _fsum_rows(g: Graph) -> np.ndarray:
+    return np.array([math.fsum(g.weights[a:b].tolist())
+                     for a, b in zip(g.indptr[:-1].tolist(), g.indptr[1:].tolist())])
+
+
+def _same_degrees(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_weighted_degrees_of_integer_weights_are_exact_row_sums():
@@ -155,11 +162,12 @@ def test_weighted_degrees_of_integer_weights_are_exact_row_sums():
         n = 1200  # ids 1000..1199 have empty rows
         g = Graph([str(v) for v in range(n)], keep // 1000, keep % 1000,
                   weights[:len(keep)] * 1.0)
-        assert g.weighted_degrees() == _fsum_rows(g)
+        assert _same_degrees(g.weighted_degrees(), _fsum_rows(g))
     # -0.0 and zero weights; a tie for the heaviest vertex goes to the lower id
     g = Graph.from_edges(list("abcde"), [(0, 1, -0.0), (1, 2, 2.0), (2, 3, 1.0),
                                          (3, 4, 2.0), (1, 3, 0.0)])
-    assert g.weighted_degrees() == _fsum_rows(g) == [0.0, 2.0, 3.0, 3.0, 2.0]
+    assert _same_degrees(g.weighted_degrees(), _fsum_rows(g))
+    assert g.weighted_degrees().tolist() == [0.0, 2.0, 3.0, 3.0, 2.0]
     assert resolve_source(g, None) == {2}
 
 
@@ -170,7 +178,7 @@ def test_weighted_degrees_fall_back_to_fsum():
                   [(0, 1, 2.0**52), (1, 2, 2.0**52), (2, 3, 2.0**52),
                    (3, 4, 1.0), (4, 5, 1.0), (0, 5, 3.0)]):
         g = Graph.from_edges([str(v) for v in range(6)], edges)
-        assert g.weighted_degrees() == _fsum_rows(g)
+        assert _same_degrees(g.weighted_degrees(), _fsum_rows(g))
 
 
 # ------------------------------------------ whole-file loader vs the loop

@@ -5,17 +5,21 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nestseg.cli import resolve_source
 from nestseg.graph_core import Graph
 from nestseg.ordering import (VertexOrder, degree_order, hops_levels,
                               ordered_bits, pagerank_order, sort_vertices)
 from nestseg.oracle import (densest_prefix, random_graph, reference_peel,
                             reference_ranked_order)
+from nestseg.segmentation import (DensityMonotonicityError, InfeasibleKError,
+                                  discover)
 from nestseg.weighting import (ROW_SUM_WIDTH, RowSumPlan, WeightingScheme,
                                apply_weighting, personalized_pagerank)
 
@@ -206,7 +210,7 @@ def test_row_sums_add_left_to_right():
     assert _bits(sums) == _bits(_loop_sums(indptr, weights))
     assert sums[0] == 0.9999999999999999  # sum() is 1.0 from Python 3.12 on
     # np.bincount adds in input order from 0.0, which the plan's tail and
-    # the peel's seeds rely on
+    # Graph.vertex_sums rely on
     row_ids = np.repeat(np.arange(len(rows)), np.diff(indptr))
     seeds = np.bincount(row_ids, weights, minlength=len(rows))
     assert _bits(seeds) == _bits(_loop_sums(indptr, weights))
@@ -223,7 +227,59 @@ def test_peel_seeds_of_long_rows_add_left_to_right():
     for g, S in long_row_graphs():
         wg = apply_weighting(g, personalized_pagerank(g, S), WeightingScheme.SUM)
         for h in (g, wg):
+            assert _bits(h.vertex_sums()) == _bits(_loop_sums(h.indptr, h.weights))
             assert sort_vertices(h, S).sequence == reference_peel(h, S)
+
+
+def _rows_shuffled(g: Graph, rng: np.random.Generator) -> Graph:
+    """g with each row's entries in a random order: indices, weights and
+    slot_edge permuted together, every other array shared."""
+    h = Graph.__new__(Graph)
+    for name in Graph.__slots__:
+        setattr(h, name, getattr(g, name))
+    ptr = g.indptr.tolist()
+    perm = np.concatenate([a + rng.permutation(b - a) for a, b in zip(ptr, ptr[1:])])
+    h.indices, h.weights, h.slot_edge = g.indices[perm], g.weights[perm], g.slot_edge[perm]
+    return h
+
+
+def _outputs(g: Graph, S: set[int], k: int, weighted_walk: bool) -> list:
+    """Exact bytes of every vertex sum, walk, peel and segmentation on g."""
+    walks = [personalized_pagerank(g, S, use_edge_weights=w) for w in (False, True)]
+    out = [np.asarray(g.weighted_degrees(), dtype=np.float64).tobytes()]
+    out += [(pr.p.tobytes(), pr.iterations, repr(pr.residual)) for pr in walks]
+    for scheme in WeightingScheme:
+        wg = apply_weighting(g, walks[weighted_walk], scheme)
+        order = sort_vertices(wg, S)
+        try:
+            seq = discover(wg, order, k)
+            out.append((order.sequence, seq.breakpoints, repr(
+                (seq.segment_centroids, seq.segment_scores,
+                 seq.community_densities, seq.total_score))))
+        except (InfeasibleKError, DensityMonotonicityError) as exc:
+            out.append((order.sequence, type(exc).__name__))
+    return out
+
+
+def test_no_output_depends_on_the_order_within_a_row():
+    # weights with inexact sums, so another addition order can change a
+    # vertex's sum and with it near-tied peel orders
+    rng = random.Random(19)
+    npr = np.random.default_rng(19)
+    shuffled = 0
+    for seed in range(200):
+        n = rng.randint(5, 30)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < rng.choice([0.2, 0.5])]
+        rng.shuffle(pairs)
+        edges = [(*rng.sample(pair, 2), rng.choice([0.1, 0.2, 0.3, 0.7])) for pair in pairs]
+        g = Graph.from_edges([str(v) for v in range(n)], edges)
+        h = _rows_shuffled(g, npr)
+        shuffled += not np.array_equal(g.indices, h.indices)
+        S = set(rng.sample(range(n), rng.choice([1, 1, 2])))
+        k = rng.randint(1, 4)
+        assert _outputs(g, S, k, seed % 2) == _outputs(h, S, k, seed % 2), seed
+    assert shuffled > 150, shuffled
 
 
 def test_ordered_bits_order_as_the_floats():
@@ -434,6 +490,31 @@ def test_baseline_orders_match_python_sort_reference():
         ties += len(set(wdeg)) < n
         zeros += bool((pr.p == 0.0).any())
     assert ties > 20 and zeros > 5 and empty == 60, (ties, zeros, empty)
+
+
+def test_degree_order_keeps_an_exact_tie_by_id(lesmis):
+    # under --scheme norm, Combeferre and Feuilly have equal exact weight
+    # sums.  Correctly rounded, both are the same float and the lower id
+    # goes first; added left to right, the sums round apart and Feuilly
+    # would go first.  So weighted_degrees keeps math.fsum
+    S = resolve_source(lesmis, None)
+    wg = apply_weighting(lesmis, personalized_pagerank(lesmis, S), WeightingScheme.NORM)
+    c, f = wg.label_index["Combeferre"], wg.label_index["Feuilly"]
+    edges = list(zip(*(a.tolist() for a in wg.edge_arrays())))
+    exact, running = [], []
+    for x in (c, f):
+        ws = [w for u, v, w in edges if x in (u, v)]
+        exact.append(sum(map(Fraction, ws)))
+        total = 0.0
+        for w in ws:
+            total += w
+        running.append(total)
+    assert exact[0] == exact[1] and running[0] < running[1]
+    wdeg = wg.weighted_degrees()
+    assert wdeg[c] == wdeg[f] == float(exact[0])
+    assert float(wdeg[c]).hex() == "0x1.8f232a56103efp-6"
+    seq = degree_order(wg, S).sequence
+    assert c < f and seq.index(c) + 1 == seq.index(f)
 
 
 @settings(max_examples=30, deadline=None)

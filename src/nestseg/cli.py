@@ -196,8 +196,8 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
     once per scheme at its own community count.  Infeasible cells (k
     exceeding an order's block count) score infinity.  The walk-score
     and hop orders read no weight, so each is built once per run.  Each
-    (scheme, order) is pooled once; the scheme's three DP tables grow
-    together, one `_dp_row` call per row, and each answers every k.
+    (scheme, order) is pooled once, and all nine DP tables grow
+    together, one `_dp_row` call per row; each answers every k.
 
     Returns the JSON report: scores[scheme][order][k], ratios alike,
     wins[scheme][k], hops[scheme] (the hop sequence's score and the
@@ -208,19 +208,28 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
     # only the rows' neighbors
     walk_order = ORDERS["pagerank"](g, S, pr)
     hops_order, bps = _hops_order(g, S)
-    report = {"k_values": list(k_range),
-              "schemes": [s.value for s in COMPARE_SCHEMES],
-              "scores": {}, "ratios": {}, "wins": {}, "hops": {},
-              "cells": 0, "wins_both": 0}
+    # pool every (scheme, order) and score the hop sequence first, one
+    # re-weighted graph alive at a time; then grow all nine tables at once
+    pooled: dict[WeightingScheme, dict[str, Segmenter]] = {}
+    hops_scores: dict[WeightingScheme, float] = {}
     for scheme in COMPARE_SCHEMES:
         wg = apply_weighting(g, pr, scheme)
         orders = {name: ORDERS[name](wg, S, pr) for name in ("peel", "degree")}
         orders["pagerank"] = walk_order
-        scores: dict[str, dict[str, float]] = {name: {} for name in orders}
-        ratios: dict[str, dict[str, float | None]] = {name: {} for name in orders}
+        pooled[scheme] = {name: Segmenter(wg, order) for name, order in orders.items()}
+        if len(bps) > 1:
+            hops_scores[scheme] = score_sequence(wg, hops_order, bps)[0]
+        del wg
+    grow_tables([seg.table for segs in pooled.values() for seg in segs.values()],
+                max(k_range, default=1))
+    report = {"k_values": list(k_range),
+              "schemes": [s.value for s in COMPARE_SCHEMES],
+              "scores": {}, "ratios": {}, "wins": {}, "hops": {},
+              "cells": 0, "wins_both": 0}
+    for scheme, segmenters in pooled.items():
+        scores: dict[str, dict[str, float]] = {name: {} for name in segmenters}
+        ratios: dict[str, dict[str, float | None]] = {name: {} for name in segmenters}
         wins: dict[str, bool] = {}
-        segmenters = {name: Segmenter(wg, order) for name, order in orders.items()}
-        grow_tables([seg.table for seg in segmenters.values()], max(k_range, default=1))
         base = {name: seg.discover(1).total_score for name, seg in segmenters.items()}
         for k in k_range:
             cell: dict[str, float] = {}
@@ -238,12 +247,11 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
         report["ratios"][scheme.value] = ratios
         report["wins"][scheme.value] = wins
 
-        if len(bps) > 1:
-            hops_score, _, _ = score_sequence(wg, hops_order, bps)
+        if scheme in hops_scores:
             k_hops = len(bps) - 1
             report["hops"][scheme.value] = {
                 "k": k_hops,
-                "hops_score": hops_score,
+                "hops_score": hops_scores[scheme],
                 "peel_score": _score_or_inf(segmenters["peel"], k_hops),
             }
     cells = report["cells"]

@@ -70,11 +70,12 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     vertex's degree; other entries are stale and skipped when popped.
     Degrees only fall, so a decrement pushes a new entry exactly when
     it leaves the degree at or below tau.  When the heap runs out of
-    current entries, tau is raised to the max(1024, remaining // 16)-th
+    current entries, tau is raised to the max(64, remaining // 16)-th
     smallest remaining degree and every remaining vertex at or below it,
     ties included, is heapified.  Each refill thus hands out at least
-    1/16 of the remaining vertices (or 1024), so there are O(log n)
-    refills of O(n) each, and each decrement pushes at most once:
+    1/16 of the remaining vertices, or 64 once fewer than 1024 remain,
+    so there are O(log n) refills of O(n) each, at most 16 of them
+    below 1024, and each decrement pushes at most once:
     O((n + m) log n) in all.
 
     Every entry's key is at most tau, and every remaining vertex at or
@@ -126,7 +127,7 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     remaining = n - len(src)
     while remaining:
         if not heap:
-            rank = min(max(1024, remaining // 16), remaining) - 1
+            rank = min(max(64, remaining // 16), remaining) - 1
             tau = float(np.partition(degs, rank)[rank])
             vs = np.flatnonzero(degs <= tau)
             heap = [(o << shift) | v

@@ -129,32 +129,25 @@ def pool_violators(weights: np.ndarray, values: np.ndarray
     conserved (exactly so when the inputs are exactly representable,
     to rounding otherwise).  Linear time.
     """
-    # the block stack, one list per field; the newest block is held in
-    # (w, s, e), its weight, weighted sum and sse, until it stops merging
-    end: list[int] = []
-    wt: list[float] = []
-    tot: list[float] = []
-    sse: list[float] = []
+    # the block stack, one (weight, sum, sse, mean, end) tuple per block;
+    # the newest block is held in (w, s, e, m) until it stops merging
+    stack: list[tuple[float, float, float, float, int]] = []
     for i, (w, v) in enumerate(zip(np.asarray(weights, dtype=np.float64).tolist(),
                                    np.asarray(values, dtype=np.float64).tolist())):
         if not w > 0:  # NaN fails this test too
             raise ValueError(f"point {i}: weight must be positive, got {w}")
         s, e = w * v, 0.0
-        while wt and tot[-1] / wt[-1] <= s / w:
-            # previous mean <= current mean: merge.  The quotients are the
-            # means the blocks report, so no two reported means tie.
-            end.pop()
-            w1, s1 = wt.pop(), tot.pop()
-            m1, m2 = s1 / w1, s / w
-            e = sse.pop() + e + (w1 * w / (w1 + w)) * (m1 - m2) ** 2
+        m = s / w
+        while stack and stack[-1][3] <= m:
+            # previous mean <= current mean: merge.  m is the mean the
+            # block reports, so no two reported means tie.
+            w1, s1, e1, m1, _ = stack.pop()
+            e = e1 + e + (w1 * w / (w1 + w)) * (m1 - m) ** 2
             w, s = w1 + w, s1 + s
-        end.append(i + 1)
-        wt.append(w)
-        tot.append(s)
-        sse.append(e)
-    weight = np.array(wt)
-    return (np.array(end, dtype=np.int64), weight, np.array(tot) / weight,
-            np.array(sse))
+            m = s / w
+        stack.append((w, s, e, m, i + 1))
+    weight, _, sse, mean, end = np.array(stack, dtype=np.float64).reshape(-1, 5).T.copy()
+    return end.astype(np.int64), weight, mean, sse
 
 
 _Prefix = tuple[np.ndarray, np.ndarray, np.ndarray]

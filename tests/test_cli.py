@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import hashlib
 import json
 import math
 import os
@@ -234,9 +235,9 @@ def test_compare_ratios_normalized_by_single_community_score():
     assert report["cells"] == 6
 
 
-def test_compare_grows_each_schemes_tables_together(monkeypatch):
-    # one _dp_row call per (scheme, row) fills the row of all three
-    # orders' tables; growing each table alone would take three
+def test_compare_grows_all_nine_tables_together(monkeypatch):
+    # one _dp_row call per row fills that row of all nine (scheme, order)
+    # tables; growing each scheme's three alone would take three times as many
     rows = []
     real = segmentation._dp_row
 
@@ -246,9 +247,35 @@ def test_compare_grows_each_schemes_tables_together(monkeypatch):
 
     monkeypatch.setattr(segmentation, "_dp_row", counted)
     report = compare_baselines(RunConfig(input_path=str(LESMIS)), range(2, 11))
-    # 30 calls: 3 schemes x rows 1..10, each over the scheme's 3 tables
-    assert rows == [(ell, 3) for _ in report["schemes"] for ell in range(1, 11)]
+    # 10 calls: rows 1..10, each over the 3 schemes x 3 orders
+    assert rows == [(ell, 9) for ell in range(1, 11)]
     assert max(h["k"] for h in report["hops"].values()) <= 10
+
+
+def test_compare_errors_match_pinned_bytes(tmp_path, capsys):
+    # small weighted graphs with 2-3-vertex sources, whose internal slots
+    # can leave the community densities out of line: compare pools every
+    # scheme before it scores any, and still stops at the same first
+    # error; exit codes and every byte of stdout and stderr are pinned
+    rng = random.Random(7)
+    codes, digest = [], hashlib.sha256()
+    for i in range(40):
+        n = rng.randint(5, 10)
+        lines = [f"v{u} v{v} {rng.randint(1, 9)}" for u in range(n)
+                 for v in range(u + 1, n) if rng.random() < 0.5]
+        labels = sorted({w for line in lines for w in line.split()[:2]},
+                        key=lambda label: int(label[1:]))
+        source = rng.sample(labels, rng.randint(2, 3))
+        path = tmp_path / f"g{i}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "compare", "--input", str(path), "--source",
+                                 ",".join(source), "--k-min", "1", "--k-max", "4")
+        assert err == "" if code == 0 else (code == 1 and err.startswith(
+            "error: community densities not strictly decreasing at community "))
+        codes.append(code)
+        digest.update(f"exit {code}\n--- stdout\n{out}--- stderr\n{err}".encode())
+    assert "".join(map(str, codes)) == "0100001000010000001001000100100011100100"  # 11 exit 1
+    assert digest.hexdigest() == "57ded219531214681361450a4b33362e200af97827dd5ef045b0024a35769ea5"
 
 
 # ------------------------------------------------------------------- verify

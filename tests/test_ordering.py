@@ -126,8 +126,8 @@ def _clique_union(sizes_weights) -> Graph:
 
 
 def test_tiered_peel_matches_reference():
-    # graphs of 3000 vertices, past the 1024-vertex floor of the cut;
-    # every scheme's weights come from a real walk vector
+    # graphs of 3000 vertices, whose first refills take 1/16 of the
+    # remaining vertices; every scheme's weights come from a real walk vector
     cases = []
     for seed, S in ((1, set()), (2, {0}), (3, {5, 17, 400})):
         g = _gnm(seed, 3000, 30000, lambda rng, m: np.ones(m))
@@ -171,6 +171,29 @@ def test_peel_raises_its_cut_when_the_heap_runs_out(monkeypatch):
     order = sort_vertices(g, set()).sequence
     assert len(refills) >= 3
     assert order == reference_peel(g, set())
+
+
+def test_peel_raises_its_cut_on_small_graphs(monkeypatch):
+    # 65-1023 vertices, where every refill takes the 64-vertex floor and
+    # its ties; a 24-clique keeps some degrees above the first cut, so
+    # the cut is raised at least once.  Unit weights under ORIGINAL,
+    # every other scheme's weights from a real walk vector
+    rng = random.Random(20)
+    refills = _count_refills(monkeypatch)
+    for seed in range(8):
+        n = rng.randint(65, 1023)
+        base = _gnm(seed, n, 3 * n, lambda r, m: np.ones(m))
+        pairs = set(zip(base.us.tolist(), base.vs.tolist()))
+        pairs |= {(u, v) for u in range(24) for v in range(u + 1, 24)}
+        g = Graph.from_edges(base.labels, [(u, v, 1.0) for u, v in sorted(pairs)])
+        S = set(rng.sample(range(n), seed % 3))
+        pr = personalized_pagerank(g, S or {0})
+        for scheme in WeightingScheme:
+            h = apply_weighting(g, pr, scheme)
+            refills.clear()
+            order = sort_vertices(h, S).sequence
+            assert len(refills) >= 2, (n, scheme)
+            assert order == reference_peel(h, S)
 
 
 # -------------------------------------------- row sums and integer heap keys
@@ -346,7 +369,7 @@ def test_peel_with_zero_and_negative_zero_weights():
 
 
 def test_peel_on_exact_ties():
-    # unit weights past the 1024-vertex floor, sparse enough that the peel
+    # unit weights on 4000 vertices, sparse enough that the peel
     # reaches the cut's degree before raising it: vertices fall from above
     # the cut to exactly the cut and must be pushed
     for seed, S in ((8, set()), (9, {0, 1})):

@@ -12,7 +12,6 @@ infeasible (more segments than strictly decreasing blocks exist).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import random
@@ -63,9 +62,9 @@ def resolve_source(g: Graph, source: list[str] | None) -> set[int]:
 
 def _hops_order(wg: Graph, S: set[int]) -> tuple[VertexOrder, list[int]]:
     """Breadth-first levels from S, each in ascending id, and the level ends."""
-    levels = hops_levels(wg, S)
-    seq = [v for level in levels for v in sorted(level)]
-    ends = list(itertools.accumulate(len(level) for level in levels))
+    level = hops_levels(wg, S)
+    seq = np.argsort(level, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(level)).tolist()
     return VertexOrder(sequence=seq, source_size=len(S)), ends
 
 
@@ -197,7 +196,9 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
     exceeding an order's block count) score infinity.  The walk-score
     and hop orders read no weight, so each is built once per run.  Each
     (scheme, order) is pooled once, and all nine DP tables grow
-    together, one `_dp_row` call per row; each answers every k.
+    together, one `_dp_row` call per row; each answers every k.  The
+    score table is filled first, k by k, and the ratios, wins and
+    counts are read off it.
 
     Returns the JSON report: scores[scheme][order][k], ratios alike,
     wins[scheme][k], hops[scheme] (the hop sequence's score and the
@@ -217,45 +218,36 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
         orders = {name: ORDERS[name](wg, S, pr) for name in ("peel", "degree")}
         orders["pagerank"] = walk_order
         pooled[scheme] = {name: Segmenter(wg, order) for name, order in orders.items()}
-        if len(bps) > 1:
-            hops_scores[scheme] = score_sequence(wg, hops_order, bps)[0]
+        hops_scores[scheme] = score_sequence(wg, hops_order, bps)[0]
         del wg
     grow_tables([seg.table for segs in pooled.values() for seg in segs.values()],
                 max(k_range, default=1))
     report = {"k_values": list(k_range),
               "schemes": [s.value for s in COMPARE_SCHEMES],
-              "scores": {}, "ratios": {}, "wins": {}, "hops": {},
-              "cells": 0, "wins_both": 0}
+              "scores": {}, "ratios": {}, "wins": {}, "hops": {}}
+    k_hops = len(bps) - 1
     for scheme, segmenters in pooled.items():
-        scores: dict[str, dict[str, float]] = {name: {} for name in segmenters}
-        ratios: dict[str, dict[str, float | None]] = {name: {} for name in segmenters}
-        wins: dict[str, bool] = {}
         base = {name: seg.discover(1).total_score for name, seg in segmenters.items()}
+        scores: dict[str, dict[str, float]] = {name: {} for name in segmenters}
         for k in k_range:
-            cell: dict[str, float] = {}
             for name, seg in segmenters.items():
-                cell[name] = total = _score_or_inf(seg, k)
-                scores[name][str(k)] = total
-                ratios[name][str(k)] = (total / base[name]
-                                        if base[name] > 0 and math.isfinite(total)
-                                        else None)
-            win = cell["peel"] <= cell["degree"] and cell["peel"] <= cell["pagerank"]
-            wins[str(k)] = bool(win)
-            report["cells"] += 1
-            report["wins_both"] += int(win)
+                scores[name][str(k)] = _score_or_inf(seg, k)
+        report["hops"][scheme.value] = {
+            "k": k_hops,
+            "hops_score": hops_scores[scheme],
+            "peel_score": _score_or_inf(segmenters["peel"], k_hops),
+        }
         report["scores"][scheme.value] = scores
-        report["ratios"][scheme.value] = ratios
-        report["wins"][scheme.value] = wins
-
-        if scheme in hops_scores:
-            k_hops = len(bps) - 1
-            report["hops"][scheme.value] = {
-                "k": k_hops,
-                "hops_score": hops_scores[scheme],
-                "peel_score": _score_or_inf(segmenters["peel"], k_hops),
-            }
-    cells = report["cells"]
-    report["win_rate"] = report["wins_both"] / cells if cells else 0.0
+        report["ratios"][scheme.value] = {
+            name: {k: total / base[name] if base[name] > 0 and math.isfinite(total) else None
+                   for k, total in row.items()}
+            for name, row in scores.items()}
+        report["wins"][scheme.value] = {
+            k: peel <= scores["degree"][k] and peel <= scores["pagerank"][k]
+            for k, peel in scores["peel"].items()}
+    wins = [win for row in report["wins"].values() for win in row.values()]
+    report.update(cells=len(wins), wins_both=sum(wins),
+                  win_rate=sum(wins) / len(wins) if wins else 0.0)
     return report
 
 

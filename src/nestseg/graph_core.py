@@ -74,13 +74,6 @@ class Graph:
         for name in self.__slots__[2:]:  # the arrays
             getattr(self, name).flags.writeable = False
 
-    @classmethod
-    def from_edges(cls, labels: list[str],
-                   edges: Iterable[tuple[int, int, float]]) -> "Graph":
-        """Build a graph from (u, v, weight) triples, either orientation."""
-        heads, tails, weights = tuple(zip(*edges)) or ((), (), ())
-        return cls(labels, heads, tails, weights)
-
     @property
     def num_vertices(self) -> int:
         return len(self.labels)

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +32,13 @@ def parse_scheme(name: str) -> WeightingScheme:
     except ValueError:
         valid = ", ".join(s.value for s in WeightingScheme)
         raise ValueError(f"unknown scheme {name!r} (expected one of {valid})") from None
+
+
+def graph_from_edges(labels: list[str],
+                     edges: Iterable[tuple[int, int, float]]) -> Graph:
+    """Build a graph from (u, v, weight) triples, either orientation."""
+    heads, tails, weights = tuple(zip(*edges)) or ((), (), ())
+    return Graph(labels, heads, tails, weights)
 
 
 def random_graph(rng: random.Random, n: int, edge_prob: float,
@@ -60,7 +67,7 @@ def random_graph(rng: random.Random, n: int, edge_prob: float,
             if (u, v) not in edges and rng.random() < edge_prob:
                 edges[(u, v)] = w()
     labels = [str(i) for i in range(n)]
-    return Graph.from_edges(labels, [(u, v, wt) for (u, v), wt in edges.items()])
+    return graph_from_edges(labels, [(u, v, wt) for (u, v), wt in edges.items()])
 
 
 def _members(n: int, V: VertexSet) -> np.ndarray:

@@ -156,33 +156,30 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     return VertexOrder(sequence=src + removed, source_size=len(src))
 
 
-def hops_levels(g: Graph, S: VertexSet) -> list[set[int]]:
-    """BFS distance classes from the source set.
+def hops_levels(g: Graph, S: VertexSet) -> np.ndarray:
+    """Each vertex's BFS distance from the source set (int64).
 
-    Level 0 is S itself; unreachable vertices, if any, form one final
-    level so the union of levels is always the whole vertex set.
+    The sources are at level 0; unreachable vertices, if any, share the
+    level after the last reachable one, so the levels 0..max are all
+    nonempty.
     """
     if not S:
         raise ValueError("source set must not be empty")
-    seen = np.zeros(g.num_vertices, dtype=bool)
+    level = np.full(g.num_vertices, -1, dtype=np.int64)
     frontier = np.array(sorted(S), dtype=np.int64)
-    seen[frontier] = True
-    levels: list[set[int]] = [set(S)]
-    while True:
+    depth = 0
+    while len(frontier):
+        level[frontier] = depth
+        depth += 1
         # the frontier's CSR rows, concatenated
         starts, ends = g.indptr[frontier], g.indptr[frontier + 1]
         nbrs = g.indices[np.repeat(ends - np.cumsum(ends - starts), ends - starts)
                          + np.arange(int((ends - starts).sum()))]
         # sorted and duplicate-free, without np.unique, which imports numpy.ma
-        frontier = np.sort(nbrs[~seen[nbrs]])
+        frontier = np.sort(nbrs[level[nbrs] < 0])
         frontier = frontier[np.diff(frontier, prepend=-1) != 0]
-        if not len(frontier):
-            break
-        seen[frontier] = True
-        levels.append(set(frontier.tolist()))
-    if not seen.all():
-        levels.append(set(np.flatnonzero(~seen).tolist()))
-    return levels
+    level[level < 0] = depth
+    return level
 
 
 def _ranked_order(g: Graph, S: VertexSet, score: np.ndarray) -> VertexOrder:

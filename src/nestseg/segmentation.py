@@ -129,13 +129,15 @@ def pool_violators(weights: np.ndarray, values: np.ndarray
     conserved (exactly so when the inputs are exactly representable,
     to rounding otherwise).  Linear time.
     """
+    weights = np.asarray(weights, dtype=np.float64)
+    if not (weights > 0).all():  # NaN fails this test too
+        i = int(np.argmin(weights > 0))  # the first point that fails it
+        raise ValueError(f"point {i}: weight must be positive, got {weights[i].item()}")
     # the block stack, one (weight, sum, sse, mean, end) tuple per block;
     # the newest block is held in (w, s, e, m) until it stops merging
     stack: list[tuple[float, float, float, float, int]] = []
-    for i, (w, v) in enumerate(zip(np.asarray(weights, dtype=np.float64).tolist(),
+    for i, (w, v) in enumerate(zip(weights.tolist(),
                                    np.asarray(values, dtype=np.float64).tolist())):
-        if not w > 0:  # NaN fails this test too
-            raise ValueError(f"point {i}: weight must be positive, got {w}")
         s, e = w * v, 0.0
         m = s / w
         while stack and stack[-1][3] <= m:

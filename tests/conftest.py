@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nestseg.graph_core import Graph, load_edge_list_path
-from nestseg.oracle import random_graph
+from nestseg.oracle import graph_from_edges, random_graph
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 KARATE = DATA_DIR / "karate.txt"
@@ -46,17 +46,17 @@ def neighbor_weights(g: Graph, v: int) -> dict[int, float]:
 
 def path_graph(n: int = 4) -> Graph:
     labels = [chr(ord("a") + i) for i in range(n)]
-    return Graph.from_edges(labels, [(i, i + 1, 1.0) for i in range(n - 1)])
+    return graph_from_edges(labels, [(i, i + 1, 1.0) for i in range(n - 1)])
 
 
 def star_graph() -> Graph:
     # hub "c" listed first, then leaves x, y, z
-    return Graph.from_edges(["c", "x", "y", "z"],
+    return graph_from_edges(["c", "x", "y", "z"],
                             [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
 
 
 def triangle_graph() -> Graph:
-    return Graph.from_edges(["a", "b", "c"],
+    return graph_from_edges(["a", "b", "c"],
                             [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
 
 
@@ -64,7 +64,7 @@ def k4_pendant() -> Graph:
     """Complete 4-clique with one extra vertex hanging off vertex 0."""
     edges = [(u, v, 1.0) for u in range(4) for v in range(u + 1, 4)]
     edges.append((0, 4, 1.0))
-    return Graph.from_edges([str(i) for i in range(5)], edges)
+    return graph_from_edges([str(i) for i in range(5)], edges)
 
 
 def dyadic_graph(seed: int, n: int, edge_prob: float = 0.5,

@@ -21,8 +21,8 @@ from nestseg.oracle import (brute_force_antitonic_fit,
                             brute_force_densest_subgraph,
                             brute_force_segmentation, check_peel_lower_bound,
                             check_peel_upper_bound, check_prop_density,
-                            densest_prefix, induced_density, random_graph,
-                            sample_peel_bounds)
+                            densest_prefix, graph_from_edges, induced_density,
+                            random_graph, sample_peel_bounds)
 from nestseg.segmentation import (InfeasibleKError, SegmentTable, Segmenter,
                                   discover, group_arrays, pool_violators,
                                   score_sequence)
@@ -258,14 +258,11 @@ def test_criterion_08_discovery_beats_hop_levels_on_karate():
     for scheme in (WeightingScheme.NORM, WeightingScheme.SUM,
                    WeightingScheme.MIN):
         wg = apply_weighting(g, pr, scheme)
-        levels = hops_levels(wg, S)
-        k = len(levels) - 1
-        seq_ids: list[int] = []
-        bps = [1]
-        for level in levels:
-            seq_ids.extend(sorted(level - set(seq_ids)))
-        for level in levels[1:]:
-            bps.append(bps[-1] + len(level))
+        level = hops_levels(wg, S).tolist()
+        k = max(level)
+        # by level, ascending id within one; breakpoints after each level
+        seq_ids = sorted(range(len(level)), key=lambda v: (level[v], v))
+        bps = [sum(1 for d in level if d <= depth) for depth in range(k + 1)]
         hop_order = VertexOrder(sequence=seq_ids, source_size=1)
         hop_score, _, _ = score_sequence(wg, hop_order, bps)
         peel = discover(wg, sort_vertices(wg, S), k).total_score
@@ -316,7 +313,7 @@ def test_criterion_09_peel_order_win_rate_at_least_80_percent():
 # -------------------------------------------------------------- criterion 10
 
 def test_criterion_10_walk_distribution_invariants():
-    g2 = Graph.from_edges(["a", "b"], [(0, 1, 1.0)])
+    g2 = graph_from_edges(["a", "b"], [(0, 1, 1.0)])
     pr2 = personalized_pagerank(g2, {0}, restart=0.1)
     analytic_ok = abs(pr2.p[0] - 0.1 / 0.19) <= 1e-9
 
@@ -382,7 +379,7 @@ def test_criterion_11_scales_to_a_million_edges():
     codes = codes[:m]
     lo, hi = codes // n, codes % n
     labels = [str(i) for i in range(n)]
-    g = Graph.from_edges(labels, zip(lo.tolist(), hi.tolist(), [1.0] * m))
+    g = graph_from_edges(labels, zip(lo.tolist(), hi.tolist(), [1.0] * m))
     assert g.total_edge_count == m
 
     start = time.perf_counter()

@@ -278,6 +278,40 @@ def test_compare_errors_match_pinned_bytes(tmp_path, capsys):
     assert digest.hexdigest() == "57ded219531214681361450a4b33362e200af97827dd5ef045b0024a35769ea5"
 
 
+def test_compare_and_hops_runs_match_pinned_bytes(tmp_path, capsys):
+    # single-source edge lists, weighted and unit, every third one with a
+    # second component the hop levels cannot reach; compare's k ranges run
+    # inside and past the block count, so Infinity scores and null ratios
+    # show, and `run --order hops` prints the hop order itself.  Exit
+    # codes and every byte of stdout and stderr are pinned
+    rng = random.Random(21)
+    codes, digest, text = [], hashlib.sha256(), ""
+    for i in range(30):
+        n, density = rng.randint(4, 11), rng.choice((0.2, 0.5))
+        parts = [(0, n)] + ([(n, rng.randint(2, 5))] if i % 3 == 2 else [])
+        lines = [f"v{lo + u} v{lo + v}" + (f" {rng.randint(1, 9)}" if i % 2 else "")
+                 for lo, size in parts for u in range(size)
+                 for v in range(u + 1, size) if rng.random() < density or v == u + 1]
+        path = tmp_path / f"g{i}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        common = ["--input", str(path)]
+        if i % 4:
+            common += ["--source", f"v{rng.randrange(n)}"]
+        if i % 5 == 0:
+            common.append("--weighted-walk")
+        for argv in (["compare", *common, "--k-min", str(rng.randint(1, 3)),
+                      "--k-max", str(rng.randint(3, 14))],
+                     ["run", *common, "-k", str(rng.randint(1, 4)), "--order", "hops",
+                      "--format", rng.choice(("json", "tsv"))]):
+            code, out, err = run_cli(capsys, *argv)
+            codes.append(code)
+            text += out
+            digest.update(f"exit {code}\n--- stdout\n{out}--- stderr\n{err}".encode())
+    assert "Infinity" in text and "null" in text
+    assert "".join(map(str, codes)) == "000000000000000000000000000000000000000000020000000200000000"
+    assert digest.hexdigest() == "9ca4f9a17b02ffaff214354407d85a4230dd446b25929a24d1d49db529e5511c"
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_subcommand_clean(capsys):

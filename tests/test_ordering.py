@@ -16,8 +16,8 @@ from nestseg.cli import resolve_source
 from nestseg.graph_core import Graph
 from nestseg.ordering import (VertexOrder, degree_order, hops_levels,
                               ordered_bits, pagerank_order, sort_vertices)
-from nestseg.oracle import (densest_prefix, random_graph, reference_peel,
-                            reference_ranked_order)
+from nestseg.oracle import (densest_prefix, graph_from_edges, random_graph,
+                            reference_peel, reference_ranked_order)
 from nestseg.segmentation import (DensityMonotonicityError, InfeasibleKError,
                                   discover)
 from nestseg.weighting import (ROW_SUM_WIDTH, RowSumPlan, WeightingScheme,
@@ -47,7 +47,7 @@ def test_star_leaves_in_reverse_removal_order():
 
 
 def test_cycle_tie_breaking():
-    g = Graph.from_edges(list("0123"),
+    g = graph_from_edges(list("0123"),
                          [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
     order = sort_vertices(g, set())
     assert order.sequence == [3, 2, 1, 0]
@@ -63,7 +63,7 @@ def test_source_vertices_lead_in_ascending_id():
 
 def test_weight_drives_removal():
     # b has more edges but less weight than c; b goes first
-    g = Graph.from_edges(["a", "b", "c", "d"],
+    g = graph_from_edges(["a", "b", "c", "d"],
                          [(0, 1, 0.5), (1, 3, 0.5), (0, 2, 5.0), (2, 3, 5.0)])
     order = sort_vertices(g, set())
     assert order.sequence[-1] == 1  # lightest vertex removed first
@@ -155,7 +155,7 @@ def test_peel_cut_takes_every_tie(monkeypatch):
     # degree 3, so the cut is 2 and all 2200 ties enter the first heap
     cycle = [(v, (v + 1) % 3000, 1.0) for v in range(3000)]
     chords = [(v, v + 1500, 1.0) for v in range(0, 1200, 3)]
-    g = Graph.from_edges([str(v) for v in range(3000)], cycle + chords)
+    g = graph_from_edges([str(v) for v in range(3000)], cycle + chords)
     refills = _count_refills(monkeypatch)
     order = sort_vertices(g, set()).sequence
     assert refills == [2200]
@@ -185,7 +185,7 @@ def test_peel_raises_its_cut_on_small_graphs(monkeypatch):
         base = _gnm(seed, n, 3 * n, lambda r, m: np.ones(m))
         pairs = set(zip(base.us.tolist(), base.vs.tolist()))
         pairs |= {(u, v) for u in range(24) for v in range(u + 1, 24)}
-        g = Graph.from_edges(base.labels, [(u, v, 1.0) for u, v in sorted(pairs)])
+        g = graph_from_edges(base.labels, [(u, v, 1.0) for u, v in sorted(pairs)])
         S = set(rng.sample(range(n), seed % 3))
         pr = personalized_pagerank(g, S or {0})
         for scheme in WeightingScheme:
@@ -296,7 +296,7 @@ def test_no_output_depends_on_the_order_within_a_row():
                  if rng.random() < rng.choice([0.2, 0.5])]
         rng.shuffle(pairs)
         edges = [(*rng.sample(pair, 2), rng.choice([0.1, 0.2, 0.3, 0.7])) for pair in pairs]
-        g = Graph.from_edges([str(v) for v in range(n)], edges)
+        g = graph_from_edges([str(v) for v in range(n)], edges)
         h = _rows_shuffled(g, npr)
         shuffled += not np.array_equal(g.indices, h.indices)
         S = set(rng.sample(range(n), rng.choice([1, 1, 2])))
@@ -342,7 +342,7 @@ def test_peel_through_negative_degrees():
         n = rng.randint(4, 25)
         edges = [(u, v, rng.choice([0.1, 0.2, 0.3, 0.7]))
                  for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-        g = Graph.from_edges([str(v) for v in range(n)], edges)
+        g = graph_from_edges([str(v) for v in range(n)], edges)
         S = set(range(seed % 2))
         order = sort_vertices(g, S).sequence
         assert order == reference_peel(g, S)
@@ -352,7 +352,7 @@ def test_peel_through_negative_degrees():
     # are subtracted exactly: x (id 0) reaches -3 when L (id 1) goes
     edges = [(0, 1, 2.0**53)] + [(0, v, 1.0) for v in (2, 3, 4)] \
         + [(1, v, 1.0) for v in (5, 6, 7, 8)] + [(0, 9, 0.0)]
-    g = Graph.from_edges([str(v) for v in range(10)], edges)
+    g = graph_from_edges([str(v) for v in range(10)], edges)
     order = sort_vertices(g, set()).sequence
     assert order == reference_peel(g, set())
     assert _least_live_degree(g, set(), order) == -3.0
@@ -383,7 +383,7 @@ def test_peel_keys_at_powers_of_two(j):
     for n in (2**j - 1, 2**j, 2**j + 1):
         if n < 32:
             rng = random.Random(n)
-            g = Graph.from_edges([str(v) for v in range(n)],
+            g = graph_from_edges([str(v) for v in range(n)],
                                  [(u, v, float(rng.randint(1, 3)))
                                   for u in range(n) for v in range(u + 1, n)])
         else:
@@ -426,7 +426,7 @@ def test_densest_prefix_finds_clique():
 
 def test_densest_prefix_first_max_wins():
     # two equally dense prefixes: the shorter one is reported
-    g = Graph.from_edges(["a", "b", "c", "d"],
+    g = graph_from_edges(["a", "b", "c", "d"],
                          [(0, 1, 2.0), (2, 3, 2.0)])
     order = VertexOrder(sequence=[0, 1, 2, 3], source_size=0)
     prefix, density = densest_prefix(g, order)
@@ -436,15 +436,15 @@ def test_densest_prefix_first_max_wins():
 
 def test_hops_levels_path():
     g = path_graph(4)
-    levels = hops_levels(g, {0})
-    assert levels == [{0}, {1}, {2}, {3}]
+    level = hops_levels(g, {0})
+    assert level.dtype == np.int64
+    assert level.tolist() == [0, 1, 2, 3]
 
 
 def test_hops_levels_unreachable_trailing():
-    g = Graph.from_edges(["a", "b", "c", "d"],
+    g = graph_from_edges(["a", "b", "c", "d"],
                          [(0, 1, 1.0), (2, 3, 1.0)])
-    levels = hops_levels(g, {0})
-    assert levels == [{0}, {1}, {2, 3}]
+    assert hops_levels(g, {0}).tolist() == [0, 1, 2, 2]
 
 
 def _python_bfs_levels(g: Graph, S: set[int]) -> tuple[list[set[int]], set[int]]:
@@ -467,7 +467,11 @@ def test_hops_levels_match_python_bfs():
         g = dyadic_graph(seed, n, edge_prob=rng.choice([0.05, 0.1, 0.3]))
         S = set(rng.sample(range(n), rng.randint(1, 3)))
         levels, rest = _python_bfs_levels(g, S)
-        assert hops_levels(g, S) == levels + ([rest] if rest else [])
+        level = hops_levels(g, S)
+        assert level.dtype == np.int64
+        # the reference classes tile the vertices, so this pins every level
+        for depth, members in enumerate(levels + ([rest] if rest else [])):
+            assert set(np.flatnonzero(level == depth).tolist()) == members
         disconnected += bool(rest)
     assert disconnected >= 5
 

@@ -16,7 +16,8 @@ from nestseg.ordering import VertexOrder, sort_vertices
 from nestseg.oracle import (brute_force_antitonic_fit,
                             brute_force_segmentation, cross_pair_count,
                             exact_segment_cost, exact_segmentation,
-                            random_graph, reference_segment_dp)
+                            graph_from_edges, random_graph,
+                            reference_segment_dp)
 from nestseg.segmentation import (DensityMonotonicityError,
                                   InfeasibleKError, Segmenter, SegmentTable,
                                   discover, group_arrays, grow_tables,
@@ -48,7 +49,7 @@ def test_group_point_pair_count_grows_with_position():
 
 
 def test_group_density_is_weight_over_predecessor_count():
-    g = Graph.from_edges(["a", "b", "c"], [(0, 1, 3.0), (0, 2, 1.0), (1, 2, 2.0)])
+    g = graph_from_edges(["a", "b", "c"], [(0, 1, 3.0), (0, 2, 1.0), (1, 2, 2.0)])
     order = VertexOrder(sequence=[0, 1, 2], source_size=1)
     _, x, internal, _ = group_arrays(g, order)
     assert x[0] == pytest.approx(3.0)       # b: edge to a over 1
@@ -436,7 +437,7 @@ def test_discover_infeasible_k_names_maximum():
 def test_discover_multi_source_density_violation_detected():
     # centroids decrease but cumulative densities rise: the later group
     # is light per-slot yet heavy enough to lift the running average
-    g = Graph.from_edges(
+    g = graph_from_edges(
         ["s1", "s2", "a", "b"],
         [(0, 2, 10.0), (1, 2, 10.0), (0, 3, 8.0), (1, 3, 8.0), (2, 3, 8.0)])
     order = VertexOrder(sequence=[0, 1, 2, 3], source_size=2)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestseg.graph_core import Graph
-from nestseg.oracle import parse_scheme, reference_pagerank
+from nestseg.oracle import graph_from_edges, parse_scheme, reference_pagerank
 from nestseg.weighting import (ConvergenceError, WeightingScheme,
                                apply_weighting, personalized_pagerank)
 
@@ -20,7 +20,7 @@ from conftest import (dyadic_graph, edge_list, graph_arrays, long_row_graphs,
 
 def test_two_vertex_closed_form():
     # single edge a-b, restart into {a}: p(a) = r / (1 - (1-r)^2)
-    g = Graph.from_edges(["a", "b"], [(0, 1, 1.0)])
+    g = graph_from_edges(["a", "b"], [(0, 1, 1.0)])
     pr = personalized_pagerank(g, {0}, restart=0.1)
     assert pr.p[0] == pytest.approx(0.1 / 0.19, abs=1e-9)
     assert pr.p[1] == pytest.approx(0.09 / 0.19, abs=1e-9)
@@ -50,7 +50,7 @@ def test_symmetry_on_star():
 
 
 def test_unreachable_component_gets_zero_mass():
-    g = Graph.from_edges(["a", "b", "c", "d"],
+    g = graph_from_edges(["a", "b", "c", "d"],
                          [(0, 1, 1.0), (2, 3, 1.0)])
     pr = personalized_pagerank(g, {0})
     assert pr.p[2] == 0.0
@@ -61,14 +61,14 @@ def test_unreachable_component_gets_zero_mass():
 def test_isolated_restart_vertex_keeps_all_mass():
     # the walk has nowhere to go from an isolated vertex; teleporting the
     # dangling mass back to the restart set keeps the total at one
-    g = Graph.from_edges(["a", "b", "c"], [(1, 2, 1.0)])
+    g = graph_from_edges(["a", "b", "c"], [(1, 2, 1.0)])
     pr = personalized_pagerank(g, {0})
     assert pr.p[0] == pytest.approx(1.0, abs=1e-9)
     assert pr.p[1] == 0.0
 
 
 def test_weighted_walk_differs_from_uniform():
-    g = Graph.from_edges(["a", "b", "c"], [(0, 1, 10.0), (0, 2, 1.0)])
+    g = graph_from_edges(["a", "b", "c"], [(0, 1, 10.0), (0, 2, 1.0)])
     uniform = personalized_pagerank(g, {0}, use_edge_weights=False)
     weighted = personalized_pagerank(g, {0}, use_edge_weights=True)
     assert uniform.p[1] == pytest.approx(uniform.p[2], abs=1e-12)
@@ -152,7 +152,7 @@ def _edge_weight(g: Graph, a: int, b: int) -> float:
 
 
 def test_scheme_formulas_pointwise():
-    g = Graph.from_edges(["a", "b", "c", "d"],
+    g = graph_from_edges(["a", "b", "c", "d"],
                          [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 4.0), (0, 2, 1.0)])
     pr = personalized_pagerank(g, {0})
     p = pr.p
@@ -207,8 +207,8 @@ def test_scheme_parse():
 def test_norm_scheme_uses_unweighted_degree():
     # two graphs with the same topology but different weights must get
     # identical norm weights when the walk itself ignores weights
-    g1 = Graph.from_edges(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
-    g2 = Graph.from_edges(["a", "b", "c"], [(0, 1, 9.0), (1, 2, 3.0)])
+    g1 = graph_from_edges(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
+    g2 = graph_from_edges(["a", "b", "c"], [(0, 1, 9.0), (1, 2, 3.0)])
     pr1 = personalized_pagerank(g1, {0})
     pr2 = personalized_pagerank(g2, {0})
     w1 = apply_weighting(g1, pr1, WeightingScheme.NORM)

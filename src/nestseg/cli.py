@@ -194,11 +194,15 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
     and scheme's k=1 score.  The fixed hop-level sequence is scored
     once per scheme at its own community count.  Infeasible cells (k
     exceeding an order's block count) score infinity.  The walk-score
-    and hop orders read no weight, so each is built once per run.  Each
-    (scheme, order) is pooled once, and all nine DP tables grow
-    together, one `_dp_row` call per row; each answers every k.  The
-    score table is filled first, k by k, and the ratios, wins and
-    counts are read off it.
+    and hop orders read no weight, so each is built once per run.
+    Within a scheme, orders with the same sequence share one pool, one
+    DP table and one set of scores (under norm the degree order is
+    usually the walk-score order: at the unweighted walk's fixed point
+    a non-source vertex's weighted degree is a fixed multiple of its
+    walk score); the report still lists every order.  All the distinct
+    DP tables grow together, one `_dp_row` call per row; each answers
+    every k.  The score table is filled first, k by k, and the ratios,
+    wins and counts are read off it.
 
     Returns the JSON report: scores[scheme][order][k], ratios alike,
     wins[scheme][k], hops[scheme] (the hop sequence's score and the
@@ -209,15 +213,21 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
     # only the rows' neighbors
     walk_order = ORDERS["pagerank"](g, S, pr)
     hops_order, bps = _hops_order(g, S)
-    # pool every (scheme, order) and score the hop sequence first, one
-    # re-weighted graph alive at a time; then grow all nine tables at once
+    # pool every distinct (scheme, order) and score the hop sequence
+    # first, one re-weighted graph alive at a time; then grow all the
+    # tables at once
     pooled: dict[WeightingScheme, dict[str, Segmenter]] = {}
     hops_scores: dict[WeightingScheme, float] = {}
     for scheme in COMPARE_SCHEMES:
         wg = apply_weighting(g, pr, scheme)
         orders = {name: ORDERS[name](wg, S, pr) for name in ("peel", "degree")}
         orders["pagerank"] = walk_order
-        pooled[scheme] = {name: Segmenter(wg, order) for name, order in orders.items()}
+        segmenters: dict[str, Segmenter] = {}
+        for name, order in orders.items():
+            same = [seg for seg in segmenters.values()
+                    if seg.order.sequence == order.sequence]
+            segmenters[name] = same[0] if same else Segmenter(wg, order)
+        pooled[scheme] = segmenters
         hops_scores[scheme] = score_sequence(wg, hops_order, bps)[0]
         del wg
     grow_tables([seg.table for segs in pooled.values() for seg in segs.values()],
@@ -227,11 +237,13 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
               "scores": {}, "ratios": {}, "wins": {}, "hops": {}}
     k_hops = len(bps) - 1
     for scheme, segmenters in pooled.items():
-        base = {name: seg.discover(1).total_score for name, seg in segmenters.items()}
-        scores: dict[str, dict[str, float]] = {name: {} for name in segmenters}
+        # one score row per distinct segmenter, normalized by its k=1 score
+        rows: dict[Segmenter, dict[str, float]] = {seg: {} for seg in segmenters.values()}
+        base = {seg: seg.discover(1).total_score for seg in rows}
         for k in k_range:
-            for name, seg in segmenters.items():
-                scores[name][str(k)] = _score_or_inf(seg, k)
+            for seg, row in rows.items():
+                row[str(k)] = _score_or_inf(seg, k)
+        scores = {name: rows[seg] for name, seg in segmenters.items()}
         report["hops"][scheme.value] = {
             "k": k_hops,
             "hops_score": hops_scores[scheme],
@@ -239,9 +251,9 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
         }
         report["scores"][scheme.value] = scores
         report["ratios"][scheme.value] = {
-            name: {k: total / base[name] if base[name] > 0 and math.isfinite(total) else None
-                   for k, total in row.items()}
-            for name, row in scores.items()}
+            name: {k: total / base[seg] if base[seg] > 0 and math.isfinite(total) else None
+                   for k, total in rows[seg].items()}
+            for name, seg in segmenters.items()}
         report["wins"][scheme.value] = {
             k: peel <= scores["degree"][k] and peel <= scores["pagerank"][k]
             for k, peel in scores["peel"].items()}

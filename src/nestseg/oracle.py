@@ -320,6 +320,35 @@ def reference_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
     return _power_iteration(step, dangling, sorted(S), restart, tol, max_iter)
 
 
+def reference_pool_violators(weights: np.ndarray, values: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """pool_violators(weights, values) as one plain Python loop: each
+    point's sum w * v and mean (w * v) / w in Python floats, and the
+    stack tested for emptiness before each merge test.  Same float
+    operations in the same order, so every output bit is the same."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if not (weights > 0).all():  # NaN fails this test too
+        i = int(np.argmin(weights > 0))  # the first point that fails it
+        raise ValueError(f"point {i}: weight must be positive, got {weights[i].item()}")
+    # the block stack, one (weight, sum, sse, mean, end) tuple per block;
+    # the newest block is held in (w, s, e, m) until it stops merging
+    stack: list[tuple[float, float, float, float, int]] = []
+    for i, (w, v) in enumerate(zip(weights.tolist(),
+                                   np.asarray(values, dtype=np.float64).tolist())):
+        s, e = w * v, 0.0
+        m = s / w
+        while stack and stack[-1][3] <= m:
+            # previous mean <= current mean: merge.  m is the mean the
+            # block reports, so no two reported means tie.
+            w1, s1, e1, m1, _ = stack.pop()
+            e = e1 + e + (w1 * w / (w1 + w)) * (m1 - m) ** 2
+            w, s = w1 + w, s1 + s
+            m = s / w
+        stack.append((w, s, e, m, i + 1))
+    weight, _, sse, mean, end = np.array(stack, dtype=np.float64).reshape(-1, 5).T.copy()
+    return end.astype(np.int64), weight, mean, sse
+
+
 def exact_segment_cost(points: Sequence[tuple[float, float]],
                        cuts: Sequence[int]) -> Fraction:
     """Summed weighted SSE of the segments between cuts, in exact rationals."""

@@ -141,12 +141,12 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
         deg[x] = nan
         removed.append(x)
         remaining -= 1
-        a, b = ptr[x], ptr[x + 1]
-        for y, w in zip(nbrs[a:b], wts[a:b]):
+        for i in range(ptr[x], ptr[x + 1]):
+            y = nbrs[i]
             d = deg[y]
             if d != d:
                 continue  # removed or source
-            d -= w
+            d -= wts[i]
             deg[y] = d
             if d <= tau:
                 o = bits[y]

@@ -117,7 +117,8 @@ def pool_violators(weights: np.ndarray, values: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pool adjacent violators of a strictly-decreasing-means fit.
 
-    weights (positive) and values are the points in sequence order.
+    weights (positive) and values, of one length, are the points in
+    sequence order.
     Returns the blocks tiling them as arrays (end, weight, mean, sse):
     block t spans points [end[t-1], end[t]), the first from 0, and
     carries its total weight, weighted mean and the weighted squared
@@ -128,27 +129,42 @@ def pool_violators(weights: np.ndarray, values: np.ndarray
     squared deviations; total weight and total weight*mean are
     conserved (exactly so when the inputs are exactly representable,
     to rounding otherwise).  Linear time.
+
+    The points' sums and means are taken in numpy and the merges run in
+    one Python loop; `oracle.reference_pool_violators` is the plain
+    loop, whose output this matches bit for bit.
     """
     weights = np.asarray(weights, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if weights.shape != values.shape:
+        raise ValueError(f"{weights.size} weights but {values.size} values")
     if not (weights > 0).all():  # NaN fails this test too
         i = int(np.argmin(weights > 0))  # the first point that fails it
         raise ValueError(f"point {i}: weight must be positive, got {weights[i].item()}")
-    # the block stack, one (weight, sum, sse, mean, end) tuple per block;
-    # the newest block is held in (w, s, e, m) until it stops merging
-    stack: list[tuple[float, float, float, float, int]] = []
-    for i, (w, v) in enumerate(zip(weights.tolist(),
-                                   np.asarray(values, dtype=np.float64).tolist())):
-        s, e = w * v, 0.0
-        m = s / w
-        while stack and stack[-1][3] <= m:
+    # each point's sum and mean, as the loop would compute them: the same
+    # IEEE operations, with no warning where Python floats raise none
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = weights * values
+        means = sums / weights
+    # the block stack, one (weight, sum, sse, mean, end) tuple per block
+    # above a sentinel whose NaN mean nothing merges into; the newest
+    # block is held in (w, s, e, m) until it stops merging, and top is
+    # the mean of the block below it
+    stack: list[tuple[float, float, float, float, int]] = [(0.0, 0.0, 0.0, np.nan, 0)]
+    top = np.nan
+    for i, (w, s, m) in enumerate(zip(weights.tolist(), sums.tolist(), means.tolist()), 1):
+        e = 0.0
+        while top <= m:
             # previous mean <= current mean: merge.  m is the mean the
             # block reports, so no two reported means tie.
-            w1, s1, e1, m1, _ = stack.pop()
-            e = e1 + e + (w1 * w / (w1 + w)) * (m1 - m) ** 2
+            w1, s1, e1, _, _ = stack.pop()
+            e = e1 + e + (w1 * w / (w1 + w)) * (top - m) ** 2
             w, s = w1 + w, s1 + s
             m = s / w
-        stack.append((w, s, e, m, i + 1))
-    weight, _, sse, mean, end = np.array(stack, dtype=np.float64).reshape(-1, 5).T.copy()
+            top = stack[-1][3]
+        stack.append((w, s, e, m, i))
+        top = m
+    weight, _, sse, mean, end = np.array(stack[1:], dtype=np.float64).reshape(-1, 5).T.copy()
     return end.astype(np.int64), weight, mean, sse
 
 
@@ -259,7 +275,9 @@ class SegmentTable:
 
 def grow_tables(tables: Sequence[SegmentTable], k: int) -> None:
     """Grow each table to min(k, N) rows, one `_dp_row` call per row for
-    all the tables that lack it; tables already that tall are untouched."""
+    all the tables that lack it; tables already that tall are untouched.
+    A table listed more than once is grown once."""
+    tables = list(dict.fromkeys(tables))  # by identity: tables define no ==
     for ell in range(1, k + 1):
         live = [t for t in tables if len(t._best) == ell <= t.n]
         if live:

@@ -159,7 +159,7 @@ def _power_iteration(step, dangling: np.ndarray, src: list[int],
                      restart: float, tol: float, max_iter: int) -> PageRankVector:
     """Iterate the restarting walk from the restart distribution on src
     until the L1 change drops to tol; step(p) redistributes p along the
-    edges."""
+    edges into a new array, which is then scaled in place."""
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     if max_iter < 1:
@@ -168,13 +168,16 @@ def _power_iteration(step, dangling: np.ndarray, src: list[int],
     p = np.zeros(len(dangling))
     p[src] = share
     damp = 1.0 - restart
+    leaks = bool(dangling.any())
+    diff = np.empty(len(p))
     for it in range(1, max_iter + 1):
-        lost = float(p[dangling].sum()) if dangling.any() else 0.0
+        lost = float(p[dangling].sum()) if leaks else 0.0
         # no step sum is -0.0, so adding 0.0 restart mass outside src
         # would change no bit
-        p_next = damp * step(p)
+        p_next = step(p)
+        p_next *= damp
         p_next[src] += (restart + damp * lost) * share
-        residual = float(np.abs(p_next - p).sum())
+        residual = float(np.abs(np.subtract(p_next, p, out=diff), out=diff).sum())
         p = p_next
         if residual <= tol:
             return PageRankVector(p=p, restart=restart, residual=residual,

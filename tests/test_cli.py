@@ -235,9 +235,10 @@ def test_compare_ratios_normalized_by_single_community_score():
     assert report["cells"] == 6
 
 
-def test_compare_grows_all_nine_tables_together(monkeypatch):
-    # one _dp_row call per row fills that row of all nine (scheme, order)
-    # tables; growing each scheme's three alone would take three times as many
+def test_compare_grows_all_distinct_tables_together(monkeypatch):
+    # one _dp_row call per row fills that row of every distinct (scheme,
+    # order) table; growing each scheme's tables alone would take three
+    # times as many
     rows = []
     real = segmentation._dp_row
 
@@ -247,9 +248,32 @@ def test_compare_grows_all_nine_tables_together(monkeypatch):
 
     monkeypatch.setattr(segmentation, "_dp_row", counted)
     report = compare_baselines(RunConfig(input_path=str(LESMIS)), range(2, 11))
-    # 10 calls: rows 1..10, each over the 3 schemes x 3 orders
-    assert rows == [(ell, 9) for ell in range(1, 11)]
+    # 10 calls: rows 1..10, each over the 3 schemes x 3 orders less the
+    # norm walk-score order, which is the norm degree order
+    assert rows == [(ell, 8) for ell in range(1, 11)]
     assert max(h["k"] for h in report["hops"].values()) <= 10
+
+
+def test_compare_pools_each_distinct_order_once(monkeypatch):
+    # under norm a non-source vertex's weighted degree is, at the walk's
+    # fixed point, a fixed multiple of its walk score, and on lesmis the
+    # degree and walk-score orders are one sequence: one Segmenter serves
+    # both, and both keep their cells
+    built = []
+    real = cli.Segmenter
+
+    def counted(wg, order):
+        built.append(order.sequence)
+        return real(wg, order)
+
+    monkeypatch.setattr(cli, "Segmenter", counted)
+    report = compare_baselines(RunConfig(input_path=str(LESMIS)), range(2, 11))
+    assert len(built) == 8
+    assert len({tuple(seq) for seq in built}) >= 3
+    for table in ("scores", "ratios"):
+        norm = report[table]["norm"]
+        assert norm["degree"] == norm["pagerank"]
+        assert list(norm["degree"]) == [str(k) for k in range(2, 11)]
 
 
 def test_compare_errors_match_pinned_bytes(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from nestseg.oracle import (brute_force_antitonic_fit,
                             brute_force_segmentation, cross_pair_count,
                             exact_segment_cost, exact_segmentation,
                             graph_from_edges, random_graph,
-                            reference_segment_dp)
+                            reference_pool_violators, reference_segment_dp)
 from nestseg.segmentation import (DensityMonotonicityError,
                                   InfeasibleKError, Segmenter, SegmentTable,
                                   discover, group_arrays, grow_tables,
@@ -116,8 +117,51 @@ def test_pool_rejects_nonpositive_weight():
             _pool([(1, 1.0), (bad, 2.0)])
 
 
+def test_pool_rejects_unequal_lengths():
+    for weights, values in (([1.0, 1.0], [2.0]), ([1.0], [2.0, 1.0]), ([1.0, 1.0], [])):
+        with pytest.raises(ValueError, match="weights but"):
+            pool_violators(weights, values)
+
+
 def test_pool_of_no_points_is_empty():
     assert all(len(a) == 0 for a in pool_violators([], []))
+
+
+def test_pool_bit_identical_to_reference_loop():
+    # numpy sums and means and a sentinel under the block stack against
+    # the plain loop: signed zeros, infinities, NaN and exact ties, values
+    # within +-2**400 (the loop's (m1 - m) ** 2 overflows past ~2**512)
+    rng = random.Random(2207)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5]
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice(specials)
+        if kind == 1:
+            return float(rng.randint(-3, 3))  # exact ties
+        return rng.choice([1, -1]) * rng.random() * 2.0 ** rng.randint(-400, 399)
+
+    def weight():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return float(rng.randint(1, 4))
+        if kind == 1:
+            return rng.choice([math.inf, 5e-324, 2.0 ** 400, 2.0 ** -400])
+        return rng.uniform(0.5, 2.0) * 2.0 ** rng.randint(-60, 60)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(3000):
+            n = rng.randint(0, 40)
+            weights = np.array([weight() for _ in range(n)])
+            values = np.array([value() for _ in range(n)])
+            got = pool_violators(weights, values)
+            want = reference_pool_violators(weights, values)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype, trial
+                assert np.array_equal(a, b, equal_nan=True), trial
+                assert a.tobytes() == b.tobytes(), trial  # sign bits included
 
 
 @st.composite
@@ -283,6 +327,14 @@ def test_one_table_answers_every_k():
             assert table.solve(k) == _solve(w, m, k), (trial, k)
         with pytest.raises(InfeasibleKError):
             table.solve(len(w) + 1)
+
+
+def test_grow_tables_grows_a_repeated_table_once():
+    w, m = np.ones(4), np.array([4.0, 3.0, 1.0, 0.0])
+    t = SegmentTable(w, m)
+    grow_tables([t, t], 2)
+    assert len(t._best) == len(t._back) == 3
+    assert t.solve(2) == SegmentTable(w, m).solve(2)
 
 
 def test_joint_growth_bit_identical_to_growing_alone():

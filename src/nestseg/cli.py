@@ -242,12 +242,14 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
         base = {seg: seg.discover(1).total_score for seg in rows}
         for k in k_range:
             for seg, row in rows.items():
-                row[str(k)] = _score_or_inf(seg, k)
+                row[str(k)] = seg.discover(k).total_score if k <= seg.table.n else math.inf
         scores = {name: rows[seg] for name, seg in segmenters.items()}
+        peel = segmenters["peel"]
         report["hops"][scheme.value] = {
             "k": k_hops,
             "hops_score": hops_scores[scheme],
-            "peel_score": _score_or_inf(segmenters["peel"], k_hops),
+            "peel_score": (peel.discover(k_hops).total_score if k_hops <= peel.table.n
+                           else math.inf),
         }
         report["scores"][scheme.value] = scores
         report["ratios"][scheme.value] = {
@@ -261,14 +263,6 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
     report.update(cells=len(wins), wins_both=sum(wins),
                   win_rate=sum(wins) / len(wins) if wins else 0.0)
     return report
-
-
-def _score_or_inf(seg: Segmenter, k: int) -> float:
-    """The optimal score of seg's order at k; infinity if k is infeasible."""
-    try:
-        return seg.discover(k).total_score
-    except InfeasibleKError:
-        return math.inf
 
 
 # --format -> the text of a run from (wg, seq, report)
@@ -312,8 +306,9 @@ def dumps_indented(obj, pad: str = "") -> str:
     json serves indented output with its pure-Python encoder.  Here
     dicts with str keys and lists of containers are laid out by hand,
     and a flat list of scalars goes through the C encoder in one call,
-    its item separator carrying the newline and the indent.  Anything
-    else is json's own indented text.
+    its item separator carrying the newline and the indent.  Any other
+    container is json's own indented text, and a scalar is the C
+    encoder's, which is the same.
     """
     inner = pad + "  "
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
@@ -326,7 +321,9 @@ def dumps_indented(obj, pad: str = "") -> str:
         else:
             items = inner + json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
         return "[\n" + items + "\n" + pad + "]"
-    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    if isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    return json.dumps(obj)
 
 
 def _emit(text: str, path: str | None):

@@ -243,12 +243,11 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     heads: list[int] = []
     tails: list[int] = []
     weights: list[float] = []
-    skipped: list[int] = []  # comment and blank line numbers
+    edge_lines: list[int] = []  # the line number of each edge
     unparsable = None
     for line_num, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
-            skipped.append(line_num)
             continue
         if len(parts) == 2:
             w = 1.0
@@ -265,17 +264,12 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
         heads.append(intern(parts[0], len(index)))
         tails.append(intern(parts[1], len(index)))
         weights.append(w)
+        edge_lines.append(line_num)
 
     try:
         g = Graph(list(index), heads, tails, weights)
     except GraphFormatError as exc:
-        # edge i sits on the (i+1)-th line that is not skipped
-        line = exc.edge + 1
-        for s in skipped:
-            if s > line:
-                break
-            line += 1
-        raise GraphFormatError(f"line {line}: {exc.reason}") from None
+        raise GraphFormatError(f"line {edge_lines[exc.edge]}: {exc.reason}") from None
     if unparsable:
         raise GraphFormatError(unparsable)
     return g

@@ -152,18 +152,22 @@ def pool_violators(weights: np.ndarray, values: np.ndarray
     # the mean of the block below it
     stack: list[tuple[float, float, float, float, int]] = [(0.0, 0.0, 0.0, np.nan, 0)]
     top = np.nan
-    for i, (w, s, m) in enumerate(zip(weights.tolist(), sums.tolist(), means.tolist()), 1):
-        e = 0.0
-        while top <= m:
-            # previous mean <= current mean: merge.  m is the mean the
-            # block reports, so no two reported means tie.
-            w1, s1, e1, _, _ = stack.pop()
-            e = e1 + e + (w1 * w / (w1 + w)) * (top - m) ** 2
-            w, s = w1 + w, s1 + s
-            m = s / w
-            top = stack[-1][3]
-        stack.append((w, s, e, m, i))
-        top = m
+    try:
+        for i, (w, s, m) in enumerate(zip(weights.tolist(), sums.tolist(), means.tolist()), 1):
+            e = 0.0
+            while top <= m:
+                # previous mean <= current mean: merge.  m is the mean the
+                # block reports, so no two reported means tie.
+                w1, s1, e1, _, _ = stack.pop()
+                e = e1 + e + (w1 * w / (w1 + w)) * (top - m) ** 2
+                w, s = w1 + w, s1 + s
+                m = s / w
+                top = stack[-1][3]
+            stack.append((w, s, e, m, i))
+            top = m
+    except OverflowError:  # float ** 2 raises rather than give inf
+        raise ValueError("pooling overflows: a squared gap between merged means "
+                         "exceeds the float range") from None
     weight, _, sse, mean, end = np.array(stack[1:], dtype=np.float64).reshape(-1, 5).T.copy()
     return end.astype(np.int64), weight, mean, sse
 
@@ -278,7 +282,7 @@ def grow_tables(tables: Sequence[SegmentTable], k: int) -> None:
     all the tables that lack it; tables already that tall are untouched.
     A table listed more than once is grown once."""
     tables = list(dict.fromkeys(tables))  # by identity: tables define no ==
-    for ell in range(1, k + 1):
+    for ell in range(1, min(k, max((t.n for t in tables), default=0)) + 1):
         live = [t for t in tables if len(t._best) == ell <= t.n]
         if live:
             prefix = tuple(np.concatenate(p) for p in zip(*(t._prefix for t in live)))

@@ -45,9 +45,8 @@ class WeightingScheme(enum.Enum):
     ORIGINAL = "original"
 
 
-# RowSumPlan adds entry j < ROW_SUM_WIDTH of the rows longer than j in one
-# elementwise add while ROW_SUM_ROWS or more rows are; np.bincount the rest
-ROW_SUM_WIDTH, ROW_SUM_ROWS = 64, 256
+# RowSumPlan adds the rows of at most ROW_SUM_WIDTH entries by column
+ROW_SUM_WIDTH = 64
 
 
 class RowSumPlan:
@@ -55,11 +54,11 @@ class RowSumPlan:
     x`` does on any Python version (``sum()`` of floats is compensated
     since 3.12), in O(ROW_SUM_WIDTH) numpy calls.  ``arrange`` lays
     per-slot values out as ``sums`` reads them: with the rows sorted
-    longest first, column j holds entry j of each row longer than j;
-    then each row past the columns has a segment [head, its other entries].
-    ``sums`` writes the row's running sum into its head and finishes all
-    segments with one np.bincount, which adds in input order from 0.0
-    (and 0.0 + s is s, as a running sum from +0.0 is never -0.0)."""
+    longest first, column j holds entry j of each row of at most
+    ROW_SUM_WIDTH entries that is longer than j; then come the entries
+    of every longer row, row after row.  ``sums`` adds each column with
+    one elementwise add and all the longer rows with one np.bincount,
+    which adds in input order from 0.0."""
 
     def __init__(self, indptr: np.ndarray):
         lens = np.diff(indptr)
@@ -67,34 +66,31 @@ class RowSumPlan:
         self.starts, lens = indptr[:-1][rows], lens[rows]
         self.rank = np.empty_like(rows)  # rank[v] = row v's place in rows
         self.rank[rows] = np.arange(len(rows))
-        # longer[j] = the number of rows longer than j
+        # longer[j] = the number of rows longer than j; the first `long`
+        # rows are longer than ROW_SUM_WIDTH
         longer = np.searchsorted(-lens, -np.arange(ROW_SUM_WIDTH + 1), side="left").tolist()
-        width = max(1, sum(c >= ROW_SUM_ROWS for c in longer[:-1]))
-        self.columns = list(zip(np.cumsum([0] + longer[:width]).tolist(), longer[:width]))
-        self.tail, self.long = sum(longer[:width]), longer[width]
-        seg = lens[:self.long] - (width - 1)
-        self.segments = np.repeat(np.arange(self.long), seg)
-        self.heads = np.cumsum(seg) - seg
-        # a head reads its row's entry width - 1, which sums overwrites
-        self.tail_slots = (np.repeat(self.starts[:self.long] + width - 1 - self.heads, seg)
+        self.long = longer.pop()
+        counts = [c - self.long for c in longer if c > self.long]
+        self.columns = list(zip(np.cumsum([0] + counts).tolist(), counts))
+        self.tail = sum(counts)
+        lens = lens[:self.long]
+        self.segments = np.repeat(np.arange(self.long), lens)
+        self.tail_slots = (np.repeat(self.starts[:self.long] - np.cumsum(lens) + lens, lens)
                            + np.arange(len(self.segments)))
 
     def arrange(self, values: np.ndarray) -> np.ndarray:
         out = np.empty(self.tail + len(self.segments), dtype=values.dtype)
         for j, (a, k) in enumerate(self.columns):
-            out[a:a + k] = values[self.starts[:k] + j]
+            out[a:a + k] = values[self.starts[self.long:self.long + k] + j]
         out[self.tail:] = values[self.tail_slots]
         return out
 
     def sums(self, buf: np.ndarray) -> np.ndarray:
-        """The row sums of an arranged buffer, in row order; writes its heads."""
+        """The row sums of an arranged buffer, in row order; buf is only read."""
         acc = np.zeros(len(self.rank))
         for a, k in self.columns:
-            acc[:k] += buf[a:a + k]
-        if self.long:
-            tail = buf[self.tail:]
-            tail[self.heads] = acc[:self.long]
-            acc[:self.long] = np.bincount(self.segments, tail)
+            acc[self.long:self.long + k] += buf[a:a + k]
+        acc[:self.long] = np.bincount(self.segments, buf[self.tail:])
         return acc.take(self.rank, mode="wrap")
 
 
@@ -159,7 +155,7 @@ def _power_iteration(step, dangling: np.ndarray, src: list[int],
                      restart: float, tol: float, max_iter: int) -> PageRankVector:
     """Iterate the restarting walk from the restart distribution on src
     until the L1 change drops to tol; step(p) redistributes p along the
-    edges into a new array, which is then scaled in place."""
+    edges into a new array."""
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     if max_iter < 1:
@@ -168,16 +164,13 @@ def _power_iteration(step, dangling: np.ndarray, src: list[int],
     p = np.zeros(len(dangling))
     p[src] = share
     damp = 1.0 - restart
-    leaks = bool(dangling.any())
-    diff = np.empty(len(p))
     for it in range(1, max_iter + 1):
-        lost = float(p[dangling].sum()) if leaks else 0.0
+        lost = float(p[dangling].sum())
         # no step sum is -0.0, so adding 0.0 restart mass outside src
         # would change no bit
-        p_next = step(p)
-        p_next *= damp
+        p_next = damp * step(p)
         p_next[src] += (restart + damp * lost) * share
-        residual = float(np.abs(np.subtract(p_next, p, out=diff), out=diff).sum())
+        residual = float(np.abs(p_next - p).sum())
         p = p_next
         if residual <= tol:
             return PageRankVector(p=p, restart=restart, residual=residual,
@@ -208,8 +201,6 @@ def apply_weighting(g: Graph, pr: PageRankVector | None,
         ws = pu / deg[us] + pv / deg[vs]
     elif scheme is WeightingScheme.SUM:
         ws = pu + pv
-    elif scheme is WeightingScheme.MIN:
+    else:  # WeightingScheme.MIN
         ws = np.minimum(pu, pv)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled scheme {scheme}")
     return g.with_weights(ws)

@@ -56,6 +56,10 @@ def test_parse_labels_in_first_appearance_order():
     # one above 2**400, and a too large weight beats a duplicate
     (["a b 1", "b c 2.5822498780869090e+120"], "line 2: weight too large"),
     (["a b 1", "b a 1e308"], "line 2: weight too large 1e+308 (limit 2**400)"),
+    # several comment and blank runs, between edges and before the bad one
+    (["", "# h", "", "a b", "", "", "# x", "# y", "b c", "#", "", "", "c c"],
+     "line 13: self-loop"),
+    (["#", "", "#", "", "", "a b 1e308", "# z", "b c"], "line 6: weight too large"),
 ])
 def test_parse_rejects_malformed_lines(lines, fragment):
     with pytest.raises(GraphFormatError) as exc:

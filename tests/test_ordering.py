@@ -215,7 +215,11 @@ def _bits(values) -> list[int]:
 
 def _plan_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     plan = RowSumPlan(indptr)
-    return plan.sums(plan.arrange(values))
+    buf = plan.arrange(values)
+    kept = buf.tobytes()
+    sums = plan.sums(buf)
+    assert buf.tobytes() == kept  # sums only reads its buffer
+    return sums
 
 
 def test_row_sums_add_left_to_right():
@@ -238,12 +242,27 @@ def test_row_sums_add_left_to_right():
     seeds = np.bincount(row_ids, weights, minlength=len(rows))
     assert _bits(seeds) == _bits(_loop_sums(indptr, weights))
     assert _plan_sums(np.zeros(1, dtype=np.int64), np.zeros(0)).tolist() == []
-    # enough long rows for all ROW_SUM_WIDTH columns to be added elementwise
+    # rows of 60 to 89 entries: those of at most ROW_SUM_WIDTH fill every
+    # column, and the longer ones go to the bincount
     rows += [list(rng.random(k)) for k in rng.integers(60, 90, 600).tolist()]
     indptr = np.cumsum([0] + [len(r) for r in rows])
     weights = np.array([w for r in rows for w in r], dtype=np.float64)
     assert len(RowSumPlan(indptr).columns) == ROW_SUM_WIDTH
     assert _bits(_plan_sums(indptr, weights)) == _bits(_loop_sums(indptr, weights))
+
+
+def test_row_sums_of_rows_at_the_width_add_left_to_right():
+    # a row of ROW_SUM_WIDTH entries is added by column, one entry longer
+    # by np.bincount; both add left to right from 0.0
+    rng = np.random.default_rng(64)
+    w = ROW_SUM_WIDTH
+    for lens in ([w], [w + 1], [w, w + 1], [w + 1, w], [w + 1, 3, w, 0, w + 1, w - 1]):
+        indptr = np.cumsum([0] + lens)
+        weights = rng.random(indptr[-1]) * 10.0 ** rng.integers(-8, 9, indptr[-1])
+        plan = RowSumPlan(indptr)
+        assert plan.long == sum(k > w for k in lens), lens
+        assert len(plan.columns) == max([k for k in lens if k <= w] + [0]), lens
+        assert _bits(_plan_sums(indptr, weights)) == _bits(_loop_sums(indptr, weights)), lens
 
 
 def test_peel_seeds_of_long_rows_add_left_to_right():

@@ -123,6 +123,12 @@ def test_pool_rejects_unequal_lengths():
             pool_violators(weights, values)
 
 
+def test_pool_overflow_raises_value_error():
+    # the squared gap of the merged means, 2**1202, is past the float range
+    with pytest.raises(ValueError, match="pooling overflows"):
+        pool_violators([1.0, 1.0], [-2.0**600, 2.0**600])
+
+
 def test_pool_of_no_points_is_empty():
     assert all(len(a) == 0 for a in pool_violators([], []))
 
@@ -335,6 +341,14 @@ def test_grow_tables_grows_a_repeated_table_once():
     grow_tables([t, t], 2)
     assert len(t._best) == len(t._back) == 3
     assert t.solve(2) == SegmentTable(w, m).solve(2)
+
+
+def test_grow_tables_stops_at_the_block_count():
+    # rows past the largest block count would all be infeasible
+    t = SegmentTable(np.ones(5), np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
+    grow_tables([t], 10**9)
+    assert len(t._best) == len(t._back) == 6
+    assert t.solve(5) == SegmentTable(np.ones(5), np.arange(5.0, 0.0, -1.0)).solve(5)
 
 
 def test_joint_growth_bit_identical_to_growing_alone():

@@ -231,7 +231,7 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
         hops_scores[scheme] = score_sequence(wg, hops_order, bps)[0]
         del wg
     grow_tables([seg.table for segs in pooled.values() for seg in segs.values()],
-                max(k_range, default=1))
+                k_range[-1] if k_range else 1)
     report = {"k_values": list(k_range),
               "schemes": [s.value for s in COMPARE_SCHEMES],
               "scores": {}, "ratios": {}, "wins": {}, "hops": {}}

@@ -162,6 +162,10 @@ def _rows(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # them below 2**863, and the DP's squared sum of slot-weighted centred
 # means, (sum of a * c)**2 with sum of a < 2**63 and |c| <= 2**400,
 # below 2**926: all finite, well short of the float maximum 2**1024.
+# At the lower end a nonzero weight may be as small as the least
+# subnormal, 5e-324.  A vertex whose weight sum lies below about 5.6e-309
+# has no finite reciprocal, so the weighted walk divides its row's
+# weights by that sum instead of multiplying by 1 / sum.
 MAX_WEIGHT = 2.0 ** 400
 
 
@@ -223,8 +227,10 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     lines:
         Iterable of text lines (an open file works).  Each data line is
         ``u v`` or ``u v weight``; labels are arbitrary non-whitespace
-        strings; weight defaults to 1.0.  Lines starting with ``#`` and
-        blank lines are ignored.
+        strings; weight defaults to 1.0.  Blanks are what ``str.split``
+        splits on, so a ``\\n`` or ``\\r`` inside one item is a blank too.
+        Blank lines and lines whose first token starts with ``#`` are
+        ignored.
 
     Returns
     -------
@@ -238,156 +244,182 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
         negative, non-finite or too large weight, or an unparsable
         line.  The message names the first offending 1-based line number.
     """
-    index: dict[str, int] = {}
-    intern = index.setdefault
-    heads: list[int] = []
-    tails: list[int] = []
-    weights: list[float] = []
-    edge_lines: list[int] = []  # the line number of each edge
-    unparsable = None
-    for line_num, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) == 2:
-            w = 1.0
-        elif len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                unparsable = f"line {line_num}: bad weight {parts[2]!r}"
-                break
-        else:
-            unparsable = (f"line {line_num}: expected 'u v' or 'u v weight', "
-                          f"got {raw.strip()!r}")
-            break
-        heads.append(intern(parts[0], len(index)))
-        tails.append(intern(parts[1], len(index)))
-        weights.append(w)
-        edge_lines.append(line_num)
-
-    try:
-        g = Graph(list(index), heads, tails, weights)
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"line {edge_lines[exc.edge]}: {exc.reason}") from None
-    if unparsable:
-        raise GraphFormatError(unparsable)
-    return g
+    return _load(b"\n".join(line.encode("utf-8", "surrogatepass").translate(_ITEM_ENDS)
+                            for line in lines))
 
 
 def load_edge_list_path(path: str) -> Graph:
-    """``load_edge_list`` on the UTF-8 file at ``path``: the same Graph,
-    or the same error.
-
-    A regular file (see ``_parse_regular``) is parsed in one pass over
-    its bytes with numpy; any other file goes through ``load_edge_list``
-    line by line, which is also the source of every parse-error message.
-    """
+    """``load_edge_list`` on the UTF-8 file at ``path``, whose lines end
+    in ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in text mode: the same
+    Graph, or the same error.  Invalid UTF-8 raises UnicodeDecodeError."""
     with open(path, "rb") as f:
-        parsed = _parse_regular(f.read())
-    if parsed is None:
-        with open(path, "r", encoding="utf-8") as f:
-            return load_edge_list(f)
-    labels, ids, weights = parsed
+        data = f.read()
+    data.decode("utf-8")  # raises on invalid UTF-8, as reading the file as text does
+    return _load(data)
+
+
+def _load(raw: bytes) -> Graph:
+    """The Graph of an edge list's UTF-8 bytes.  As the line loop
+    ``oracle.reference_load_edge_list`` does, the edges before the first
+    bad line are built first, so a constructor error on one of them
+    beats that line's error."""
+    labels, ids, weights, bad_line = _parse(raw)
     try:
-        return Graph(labels, ids[0::2], ids[1::2], weights)
+        g = Graph(labels, ids[0::2], ids[1::2], weights)
     except GraphFormatError as exc:
-        # no line is skipped, so edge i sits on line i + 1
-        raise GraphFormatError(f"line {exc.edge + 1}: {exc.reason}") from None
+        _, cuts, token, heads, _ = _tokens(raw)
+        line = _line_number(raw, cuts[token[heads[exc.edge]]])
+        raise GraphFormatError(f"line {line}: {exc.reason}") from None
+    if bad_line:
+        raise GraphFormatError(bad_line)
+    return g
 
 
-# Bytes of a regular edge-list file: printable ASCII except '#', tab and
-# newline.  Outside it, splitting on blanks would disagree with str.split
-# (which also splits on \x0b, \x0c, \x1c-\x1f, \r and Unicode blanks),
-# text mode ends lines at a lone \r, and fixed-width numpy byte strings
-# drop trailing NULs.  Within it, the bytes <= 32 are exactly the blanks
-# tab, newline and space.
-_REGULAR_BYTES = bytes(b for b in range(0x20, 0x7f) if b != ord("#")) + b"\t\n"
+# The bytes the parser reads differently from UTF-8 text.  \xfc and \xfd
+# stand in for a \r and a \n inside one item of load_edge_list's lines,
+# and \xff for NUL, so that a real NUL in a label stays apart from the NUL
+# padding of the label words; UTF-8 never holds any of the three.
+_ITEM_ENDS = bytes.maketrans(b"\r\n", b"\xfc\xfd")
+_BACK = bytes.maketrans(b"\xfc\xfd\xff", b"\r\n\0")
+# str.split's blanks besides the bytes 9-13 and 28-32: the two stand-ins
+# and the UTF-8 forms of U+0085, U+00A0, U+1680, U+2000-U+200A, U+2028,
+# U+2029, U+202F, U+205F and U+3000
+_WIDE = [b"\xfc", b"\xfd", *(c.encode() for c in map(chr, range(128, 0x3001)) if c.isspace())]
 # _KEEP[j] keeps the first j bytes of a word; built from bytes, so it
 # holds in either byte order
 _KEEP = np.frombuffer(b"".join(b"\xff" * j + bytes(8 - j) for j in range(9)),
                       dtype=np.uint64)
 
 
-def _read_words(at: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Row t is token t, NUL-padded to whole 8-byte words.  ``at[p]`` is
-    the unaligned native-order read of the 8 data bytes from p on, so
-    word j of token t is at[starts[t] + 8j] masked to the token's bytes,
-    and the row's bytes, viewed as "S", are the token.  bytes.split
+def _text(b: bytes) -> str:
+    """Parsed bytes as the text they came from."""
+    return b.translate(_BACK).decode("utf-8", "surrogatepass")
+
+
+def _line_number(raw: bytes, p: int) -> int:
+    """The 1-based number of the line holding offset p of raw, a token's
+    first byte: lines end in \\n, \\r\\n or a lone \\r."""
+    return raw.count(b"\n", 0, p) + raw.count(b"\r", 0, p) - raw.count(b"\r\n", 0, p) + 1
+
+
+def _tokens(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split raw, an edge list's bytes, as str.split splits each line.
+
+    Returns (padded, cuts, token, heads, counts): padded is raw after a
+    blank, with NUL as \\xff, and token t lies between its blanks
+    cuts[token[t]] and cuts[token[t] + 1].  Data line j, one that is not
+    blank and whose first token does not start with ``#``, holds
+    counts[j] tokens from token heads[j] on.
+    """
+    padded = raw.replace(b"\0", b"\xff")
+    if not padded.isascii():
+        for blank in _WIDE:  # as many spaces, so offsets stay raw's
+            padded = padded.replace(blank, b" " * len(blank))
+    # a blank before the data and a newline after it, so every token lies
+    # between two blanks, then 8 bytes that are no blank, so an 8-byte read
+    # may start anywhere
+    padded = b"".join((b" ", padded, b"\n", b"\xff" * 8))
+    buf = np.frombuffer(padded, dtype=np.uint8)
+    cuts = np.flatnonzero(buf <= 32)
+    byte = buf.take(cuts)
+    blank = (byte >= 28) | ((byte >= 9) & (byte <= 13))  # the others are label bytes
+    if not blank.all():
+        cuts, byte = cuts[blank], byte[blank]
+    token = np.flatnonzero(np.diff(cuts) > 1)  # token t lies after cut token[t]
+    # the last token of each line: a line end (\n or \r) among the cuts
+    # between it and the next token; byte[1:][c] is cut c + 1
+    lasts = np.flatnonzero(np.logical_or.reduceat((byte[1:] == 10) | (byte[1:] == 13), token))
+    counts = np.diff(lasts, prepend=-1)
+    heads = lasts - counts + 1
+    data_line = buf.take(cuts.take(token.take(heads)) + 1) != ord("#")
+    return padded, cuts, token, heads[data_line], counts[data_line]
+
+
+def _spans(cuts: np.ndarray, before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets in raw and the sizes of the tokens that follow the
+    cuts ``before`` (``token[t]`` for token t)."""
+    starts = cuts.take(before)
+    return starts, cuts[1:].take(before) - starts - 1
+
+
+def _read_words(padded: bytes, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row j holds word j of every token: its bytes 8j to 8j + 7, NUL
+    past its end.  ``at[p]`` is the unaligned native-order read of the 8
+    bytes of padded from p + 1 on, so word j of token t is
+    ``at[starts[t] + 8j]`` masked to the token's bytes; bytes.split
     would make a Python object of every token."""
-    first = at[starts]
-    # a clipping take reads _KEEP[min(size, 8)] without an index array
-    first &= _KEEP.take(sizes, mode="clip")
-    if sizes.max() <= 8:
-        return first[:, None]
-    words = np.zeros((len(starts), -(-int(sizes.max()) // 8)), dtype=np.uint64)
-    words[:, 0] = first
-    del first
-    for j in range(8, 8 * words.shape[1], 8):
-        has = np.flatnonzero(sizes > j)
-        words[has, j // 8] = at[starts[has] + j] & _KEEP.take(sizes[has] - j, mode="clip")
+    at = np.ndarray(len(padded) - 8, np.uint64, padded, offset=1, strides=(1,))
+    words = np.empty((max(1, -(-int(sizes.max(initial=0)) // 8)), len(starts)), np.uint64)
+    for j, word in enumerate(words):
+        # a clipping take reads _KEEP[min(max(size - 8j, 0), 8)] into the row
+        np.concatenate((np.zeros(8 * j, np.uint64), _KEEP)).take(sizes, out=word, mode="clip")
+        # word j lies 8j bytes on; a token without one may read any word in
+        # range, as its mask is 0
+        word &= at[8 * j:][np.minimum(starts, len(at) - 1 - 8 * j) if j else starts]
     return words
+
+
+def _as_bytes(words: np.ndarray) -> np.ndarray:
+    """Column t of ``_read_words``' rows as one bytes item: the token."""
+    return np.ascontiguousarray(words.T).view(f"S{8 * len(words)}").ravel()
 
 
 def _pack_bits(words: np.ndarray) -> int | None:
     """Position width b of the packed label keys (word << b) | position,
-    b = (t - 1).bit_length() for t label rows; None when a label takes
+    b = (t - 1).bit_length() for t label columns; None when a label takes
     more than one word or a key would reach 2**63."""
-    bits = (len(words) - 1).bit_length()
-    if words.shape[1] == 1 and int(words.max()) < 1 << (63 - bits):
-        return bits
-    return None
+    bits = (words.shape[1] - 1).bit_length()
+    return bits if len(words) == 1 and int(words.max()) < 1 << (63 - bits) else None
 
 
-def _parse_regular(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray] | None:
-    """(labels, ids, weights) of a regular edge-list file, or None.
+def _parse(raw: bytes) -> tuple[list[str], np.ndarray, np.ndarray, str | None]:
+    """(labels, ids, weights) of the edges before the first bad line of
+    raw, and that line's error message, or None.
 
-    Regular: only ``_REGULAR_BYTES``, and every line, the last one with
-    or without its newline, holds the same 2 or 3 blank-separated
-    tokens, with a weight that numpy's bytes-to-float cast accepts.
-    Labels are numbered in first-appearance order and ``ids`` lists
-    each edge's two ids in file order, as ``load_edge_list`` does.
+    A bad line holds other than 2 or 3 tokens, or a weight that neither
+    numpy's bytes-to-float cast nor Python's ``float`` reads.  Labels
+    are numbered in first-appearance order and ``ids`` lists each
+    edge's two ids in file order, as the line loop does.
     """
-    if not data or data.translate(None, _REGULAR_BYTES):
-        return None
-    # a blank before the data, a newline after it unless it ends in one,
-    # then 8 NULs: every token now lies between two blanks (bytes <= 32),
-    # every line ends in a newline, and an 8-byte read may start anywhere
-    padded = b"".join((b" ", data, b"" if data[-1] == ord("\n") else b"\n", bytes(8)))
-    buf = np.frombuffer(padded, dtype=np.uint8)
-    cuts = np.flatnonzero(buf <= 32)
-    gaps = np.diff(cuts)
-    token = np.flatnonzero(gaps > 1)  # token t follows cut token[t]
-    eol = np.flatnonzero(buf[cuts] == ord("\n"))  # the cut ending each line
-    # line i must hold tokens cols * i .. cols * (i + 1) - 1
-    cols = len(token) // len(eol)
-    if (cols not in (2, 3) or len(token) != cols * len(eol)
-            or (token[cols - 1::cols] >= eol).any() or (token[cols::cols] < eol[:-1]).any()):
-        return None
-    starts = cuts.take(token).reshape(-1, cols)
-    sizes = gaps.take(token).reshape(-1, cols)
-    sizes -= 1
-    # at[c] reads the 8 bytes after the blank at c: the token's first word
-    at = np.ndarray(len(padded) - 8, np.uint64, padded, offset=1, strides=(1,))
-    del padded, buf, cuts, gaps, token, eol
-    if cols == 2:
-        weights = np.ones(len(starts))
-    else:
-        weights = _read_words(at, starts[:, 2], sizes[:, 2])
-        try:
-            weights = weights.view(f"S{8 * weights.shape[1]}").ravel().astype(np.float64)
-        except ValueError:
-            return None
-    # each label as a row of words; the order of the sort does not matter,
-    # only that equal labels end up adjacent
-    words = _read_words(at, starts[:, :2].ravel(), sizes[:, :2].ravel())
-    del at, starts, sizes  # the padded copy goes before the sort
+    padded, cuts, token, heads, counts = _tokens(raw)
+    bad_line = None
+    bad = np.flatnonzero((counts < 2) | (counts > 3))
+    if len(bad):
+        starts, sizes = _spans(cuts, token[heads[bad[0]] + np.array([0, counts[bad[0]] - 1])])
+        got = _text(raw[starts[0]:starts[1] + sizes[1]])
+        bad_line = (f"line {_line_number(raw, starts[0])}: "
+                    f"expected 'u v' or 'u v weight', got {got!r}")
+        heads, counts = heads[:bad[0]], counts[:bad[0]]
+    weights = np.ones(len(heads))
+    three = np.flatnonzero(counts == 3)
+    starts, sizes = _spans(cuts, token.take(heads.take(three) + 2))
+    words = _as_bytes(_read_words(padded, starts, sizes))
+    try:
+        weights[three] = words.astype(np.float64)
+    except ValueError:  # read again one by one: float also takes "1_0"
+        for i, text in enumerate(map(_text, words.tolist())):
+            try:
+                weights[three[i]] = float(text)
+            except ValueError:
+                bad_line = f"line {_line_number(raw, starts[i])}: bad weight {text!r}"
+                heads, weights = heads[:three[i]], weights[:three[i]]
+                break
+    if not len(heads):
+        return [], np.zeros(0, dtype=np.int64), weights, bad_line
+    # each label as a column of words; the order of the sort does not
+    # matter, only that equal labels end up adjacent
+    before = token.take(np.column_stack((heads, heads + 1)).reshape(-1))
+    del token, heads, counts
+    starts, sizes = _spans(cuts, before)
+    del cuts, before
+    words = _read_words(padded, starts, sizes)
+    del padded, starts, sizes  # the padded copy goes before the sort
     # np.unique(return_index=True) would sort stably, which takes twice as
     # long; a label's first appearance is the least of its positions
     bits = _pack_bits(words)
     if bits is None:
-        perm = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
-        words = words[perm]
+        perm = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+        words = words[:, perm]
     else:
         # sorting the keys themselves is several times faster than an
         # argsort, and each key carries its word and its position; the
@@ -398,15 +430,18 @@ def _parse_regular(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray] | No
         key.sort()
         perm = key & ((1 << bits) - 1)
         key >>= bits
-        words = key.view(np.uint64)[:, None]
-        del key
+        words = key.view(np.uint64)[None]
     # where each label's run starts, and its labels by first appearance
-    groups = np.flatnonzero(np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1))))
+    groups = np.flatnonzero(np.concatenate(([True], (words[:, 1:] != words[:, :-1]).any(axis=0))))
     order = np.argsort(np.minimum.reduceat(perm, groups))
-    uniq = words[groups[order]].view(f"S{8 * words.shape[1]}").ravel()
+    uniq = _as_bytes(words[:, groups[order]])
     del words
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    ids = np.empty(len(perm), dtype=np.int64)
-    ids[perm] = np.repeat(rank, np.diff(groups, append=len(perm)))
-    return b"\n".join(uniq.tolist()).decode("ascii").split("\n"), ids, weights
+    rank = np.argsort(order)  # each label's id, in sorted order
+    # each position's id, in position order: a sort of the keys
+    # (position << b) | id is faster than writing ids[perm]
+    bits = (len(perm) - 1).bit_length()
+    ids = perm << bits
+    ids |= np.repeat(rank, np.diff(groups, append=len(perm)))
+    ids.sort()
+    ids &= (1 << bits) - 1
+    return _text(b"\n".join(uniq.tolist())).split("\n"), ids, weights, bad_line

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph_core import Graph, VertexSet
+from .graph_core import Graph, GraphFormatError, VertexSet
 from .ordering import VertexOrder, sort_vertices
 from .segmentation import (InfeasibleKError, SegmentTable,
                            _centred_prefix_sums, _span_cost, pool_violators)
@@ -39,6 +39,54 @@ def graph_from_edges(labels: list[str],
     """Build a graph from (u, v, weight) triples, either orientation."""
     heads, tails, weights = tuple(zip(*edges)) or ((), (), ())
     return Graph(labels, heads, tails, weights)
+
+
+def reference_load_edge_list(lines: Iterable[str]) -> Graph:
+    """The line loop that ``load_edge_list`` must match: the same Graph,
+    or the same error.
+
+    Each line is split by ``str.split``; blank lines and lines whose
+    first token starts with ``#`` are skipped, and a line numbers itself
+    among all lines.  The loop stops at the first line that does not
+    hold 2 or 3 tokens or whose weight ``float`` rejects; the edges
+    before it are built first, so a constructor error on one of them
+    is raised before that line's error.
+    """
+    index: dict[str, int] = {}
+    intern = index.setdefault
+    heads: list[int] = []
+    tails: list[int] = []
+    weights: list[float] = []
+    edge_lines: list[int] = []  # the line number of each edge
+    unparsable = None
+    for line_num, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) == 2:
+            w = 1.0
+        elif len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                unparsable = f"line {line_num}: bad weight {parts[2]!r}"
+                break
+        else:
+            unparsable = (f"line {line_num}: expected 'u v' or 'u v weight', "
+                          f"got {raw.strip()!r}")
+            break
+        heads.append(intern(parts[0], len(index)))
+        tails.append(intern(parts[1], len(index)))
+        weights.append(w)
+        edge_lines.append(line_num)
+
+    try:
+        g = Graph(list(index), heads, tails, weights)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"line {edge_lines[exc.edge]}: {exc.reason}") from None
+    if unparsable:
+        raise GraphFormatError(unparsable)
+    return g
 
 
 def random_graph(rng: random.Random, n: int, edge_prob: float,
@@ -301,11 +349,13 @@ def reference_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
         strength[v] += w
     for row in rows:
         row.sort()
-    strength = np.array(strength)
-    dangling = strength == 0.0
-    inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, strength)).tolist()
-    # step operator transposed: row y lists A[x, y] / strength[x] by x
-    step_T = [[(x, w * inv[x]) for x, w in row] for row in rows]
+    dangling = np.array(strength) == 0.0
+    with np.errstate(over="ignore"):
+        inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, strength)).tolist()
+    # step operator transposed: row y lists A[x, y] / strength[x] by x, as
+    # A[x, y] * inv[x] unless 1 / strength[x] overflowed
+    step_T = [[(x, w / strength[x] if math.isinf(inv[x]) else w * inv[x]) for x, w in row]
+              for row in rows]
 
     def step(p: np.ndarray) -> np.ndarray:
         p = p.tolist()

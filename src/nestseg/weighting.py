@@ -135,11 +135,17 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
         key.sort()
         cols, strength = np.remainder(key, n, out=key), np.diff(g.indptr).astype(float)
     dangling = strength == 0.0
-    inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, strength))
+    with np.errstate(over="ignore"):  # a strength below about 5.6e-309
+        inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, strength))
     cols = plan.arrange(cols)
     buf = np.empty(len(cols))
-    # the entries are A[x, y] * inv[x], or inv[x] itself unweighted
-    vals = plan.arrange(w) * inv[cols] if use_edge_weights else None
+    # the entries are A[x, y] * inv[x], or inv[x] itself unweighted; in a
+    # row x whose inv[x] overflowed, A[x, y] / strength[x]
+    vals = None
+    if use_edge_weights:
+        w, over = plan.arrange(w), np.isinf(inv[cols])
+        vals = w * np.where(over, 0.0, inv[cols])
+        vals[over] = w[over] / strength[cols[over]]
 
     def step(p: np.ndarray) -> np.ndarray:
         if vals is None:
@@ -175,9 +181,10 @@ def _power_iteration(step, dangling: np.ndarray, src: list[int],
         if residual <= tol:
             return PageRankVector(p=p, restart=restart, residual=residual,
                                   iterations=it)
+        if np.isnan(residual):  # no later step converges
+            break
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (residual {residual:.3e})",
-        residual)
+        f"no convergence after {it} iterations (residual {residual:.3e})", residual)
 
 
 def apply_weighting(g: Graph, pr: PageRankVector | None,

@@ -23,6 +23,7 @@ from nestseg import cli, segmentation
 from nestseg.cli import (RunConfig, compare_baselines, dumps_indented, main,
                          resolve_source, run_pipeline)
 from nestseg.graph_core import Graph, load_edge_list_path
+from nestseg.oracle import reference_pagerank
 from nestseg.ordering import sort_vertices
 from nestseg.weighting import WeightingScheme, apply_weighting, personalized_pagerank
 
@@ -421,6 +422,57 @@ def test_weights_at_the_bound_run(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, "run", "--input", str(above), "-k", "1", *argv)
     assert code == 1
     assert err.startswith("error: line 1: weight too large")
+
+
+# every kind of weight the loader accepts: 0, subnormals, and up to
+# about 2**400
+WEIGHT_RANGE = ["0", "5e-324", "1e-310", "1e-5", "0.1", "1", "2", "3", "2e120", "2.58e120"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_weighted_walk_on_a_subnormal_strength_runs(tmp_path, capsys):
+    # v2's strength, 1e-310, has no finite reciprocal
+    path = tmp_path / "pendant.txt"
+    path.write_text("v0 v1 0.1\nv0 v2 1e-310\nv0 v4 3\nv1 v4 2e120\n")
+    code, out, err = run_cli(capsys, "run", "--input", str(path), "-k", "2",
+                             "--weighted-walk")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["order"] == ["v1", "v4", "v0", "v2"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_seeded_runs_over_the_whole_weight_range_exit_cleanly(tmp_path, capsys):
+    # every scheme, order, format and compare, 40% with multi-vertex
+    # sources: each run exits 0, 1 or 2 and warns nothing, and each
+    # weighted walk sums to 1 and matches the reference walk bit for bit
+    rng = random.Random(12)
+    codes = collections.Counter()
+    for i in range(300):
+        n = rng.randint(2, 14)
+        lines = [f"v{u} v{v} {rng.choice(WEIGHT_RANGE)}" for u in range(n)
+                 for v in range(u + 1, n) if rng.random() < 0.4 or v == u + 1]
+        path = tmp_path / f"g{i}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        source = rng.sample(range(n), rng.randint(2, min(3, n)) if rng.random() < 0.4 else 1)
+        argv = ["--input", str(path), "--source", ",".join(f"v{v}" for v in source),
+                "--scheme", rng.choice([s.value for s in WeightingScheme])]
+        if rng.random() < 0.6:
+            argv.append("--weighted-walk")
+        if rng.random() < 0.3:
+            argv = ["compare", *argv, "--k-max", str(rng.randint(2, 6))]
+        else:
+            argv = ["run", *argv, "-k", str(rng.randint(1, 4)), "--order",
+                    rng.choice(list(cli.ORDERS)), "--format", rng.choice(list(cli.FORMATS))]
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2) and (code == 0) == (err == ""), (argv, err)
+        codes[code] += 1
+        if "--weighted-walk" in argv:
+            g = load_edge_list_path(str(path))
+            S = {g.label_index[f"v{v}"] for v in source}
+            pr = personalized_pagerank(g, S, use_edge_weights=True)
+            assert abs(pr.p.sum() - 1.0) <= 1e-12
+            assert pr.p.tobytes() == reference_pagerank(g, S, use_edge_weights=True).p.tobytes()
+    assert codes[0] > 150 and codes[2] > 0
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])

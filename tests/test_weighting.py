@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nestseg.graph_core import Graph
 from nestseg.oracle import graph_from_edges, parse_scheme, reference_pagerank
-from nestseg.weighting import (ConvergenceError, WeightingScheme,
+from nestseg.weighting import (ConvergenceError, WeightingScheme, _power_iteration,
                                apply_weighting, personalized_pagerank)
 
 from conftest import (dyadic_graph, edge_list, graph_arrays, long_row_graphs,
@@ -106,6 +106,19 @@ def test_nonconvergence_raises_with_residual():
     with pytest.raises(ConvergenceError) as exc:
         personalized_pagerank(g, {0}, max_iter=2, tol=1e-15)
     assert exc.value.residual > 0
+
+
+def test_nan_residual_raises_at_once():
+    # no step after a NaN converges, so the loop stops there
+    calls = []
+
+    def step(p):
+        calls.append(1)
+        return np.full(len(p), np.nan)
+
+    with pytest.raises(ConvergenceError, match=r"after 1 iterations \(residual nan\)") as exc:
+        _power_iteration(step, np.zeros(3, dtype=bool), [0], 0.1, 1e-10, 10000)
+    assert math.isnan(exc.value.residual) and len(calls) == 1
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,6 +4,8 @@ Pipeline: load a graph, re-weight its edges from a personalized
 random-walk distribution, order vertices by iterative minimum-weighted-
 degree peeling, then cut the order into k nested communities of strictly
 decreasing density by pooling plus dynamic programming.
+
+The public names are the ones imported below.
 """
 
 from .graph_core import (
@@ -37,17 +39,5 @@ from .segmentation import (
     pool_violators,
     score_sequence,
 )
-
-__all__ = [
-    "Graph", "GraphFormatError", "VertexSet", "load_edge_list",
-    "load_edge_list_path",
-    "PageRankVector", "WeightingScheme", "apply_weighting",
-    "personalized_pagerank",
-    "VertexOrder", "degree_order", "hops_levels", "pagerank_order",
-    "sort_vertices",
-    "CommunitySequence", "DensityMonotonicityError", "InfeasibleKError",
-    "SegmentTable", "Segmenter", "discover", "group_arrays",
-    "pool_violators", "score_sequence",
-]
 
 __version__ = "0.1.0"

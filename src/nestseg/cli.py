@@ -149,19 +149,19 @@ def export_dot(g: Graph, seq: CommunitySequence) -> str:
     order = seq.order
     s = order.source_size
     segment = _segment_ids(seq)
+    names = [_dot_id(g.labels[v]) for v in order.sequence]  # by position
     lines = ["graph communities {", "  node [style=filled];"]
-    for pos, v in enumerate(order.sequence):
+    for pos, name in enumerate(names):
         color = palette[segment[pos] % len(palette)]
         extra = ", peripheries=2" if pos < s else ""
-        lines.append(f'  {_dot_id(g.labels[v])} [fillcolor="{color}"{extra}];')
-    pos_of = order.positions().tolist()
+        lines.append(f'  {name} [fillcolor="{color}"{extra}];')
+    # the edges by their (earlier, later) end positions: one sort of the
+    # keys earlier * n + later, exact as the graph's duplicate codes are
     us, vs, _ = g.edge_arrays()
-    edges = sorted(((min(pos_of[u], pos_of[v]), max(pos_of[u], pos_of[v]))
-                    for u, v in zip(us.tolist(), vs.tolist())))
-    for pu, pv in edges:
-        a = g.labels[order.sequence[pu]]
-        b = g.labels[order.sequence[pv]]
-        lines.append(f'  {_dot_id(a)} -- {_dot_id(b)};')
+    pos_of, n = order.positions(), len(order.sequence)
+    a, b = pos_of[us], pos_of[vs]
+    lo, hi = np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
+    lines.extend(f"  {names[p]} -- {names[q]};" for p, q in zip(lo.tolist(), hi.tolist()))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

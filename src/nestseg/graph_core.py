@@ -129,6 +129,15 @@ class Graph:
         return g
 
 
+def source_ids(g: Graph, S: VertexSet) -> list[int]:
+    """The ids of S in ascending order; ValueError if one lies outside
+    0..n-1."""
+    src = sorted(S)
+    if src and (src[0] < 0 or src[-1] >= g.num_vertices):
+        raise ValueError(f"source ids out of range 0..{g.num_vertices - 1}")
+    return src
+
+
 def _by_row(rows: np.ndarray) -> np.ndarray:
     """The positions of ``rows`` in a stable sort by row, without an
     argsort: sort the distinct keys (row << bits) | position (exact
@@ -285,6 +294,8 @@ _BACK = bytes.maketrans(b"\xfc\xfd\xff", b"\r\n\0")
 # and the UTF-8 forms of U+0085, U+00A0, U+1680, U+2000-U+200A, U+2028,
 # U+2029, U+202F, U+205F and U+3000
 _WIDE = [b"\xfc", b"\xfd", *(c.encode() for c in map(chr, range(128, 0x3001)) if c.isspace())]
+# every byte below the least first byte of a _WIDE blank, \xc2
+_NOT_LEADS = bytes(range(min(blank[0] for blank in _WIDE)))
 # _KEEP[j] keeps the first j bytes of a word; built from bytes, so it
 # holds in either byte order
 _KEEP = np.frombuffer(b"".join(b"\xff" * j + bytes(8 - j) for j in range(9)),
@@ -313,8 +324,12 @@ def _tokens(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
     """
     padded = raw.replace(b"\0", b"\xff")
     if not padded.isascii():
+        # the lead bytes that occur, from one scan: a blank is replaced
+        # only where its first byte is among them
+        leads = padded.translate(None, _NOT_LEADS)
         for blank in _WIDE:  # as many spaces, so offsets stay raw's
-            padded = padded.replace(blank, b" " * len(blank))
+            if blank[0] in leads:
+                padded = padded.replace(blank, b" " * len(blank))
     # a blank before the data and a newline after it, so every token lies
     # between two blanks, then 8 bytes that are no blank, so an 8-byte read
     # may start anywhere

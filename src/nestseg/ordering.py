@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, VertexSet
+from .graph_core import Graph, VertexSet, source_ids
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,12 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     vertex with the smallest total weight of edges to the vertices still
     present (ties: lowest id), and prepend it to the order.  The source
     set, in ascending id order, forms the head of the result; the first
-    vertex peeled ends up last.  The degrees start as ``g.vertex_sums()``,
-    added left to right in edge-list order, and a removal subtracts each
-    of its edge weights from the other end once, so the order depends
-    neither on the Python version nor on the order within a row.
+    vertex peeled ends up last.  A source id outside 0..n-1 raises
+    ValueError, as in every function here that takes a source set.  The
+    degrees start as ``g.vertex_sums()``, added left to right in
+    edge-list order, and a removal subtracts each of its edge weights
+    from the other end once, so the order depends neither on the Python
+    version nor on the order within a row.
 
     A binary heap holds only the vertices at or below a cut tau.
     Invariant: every remaining vertex whose degree is at most tau has a
@@ -105,7 +107,7 @@ def sort_vertices(g: Graph, S: VertexSet) -> VertexOrder:
     other end removed, so at least half of all neighbor visits are
     skipped; the order is unchanged.
     """
-    src = sorted(S)
+    src = source_ids(g, S)
     n = g.num_vertices
     # memoryviews read the CSR arrays as Python ints and floats without
     # holding a list of all 2m of them
@@ -166,7 +168,7 @@ def hops_levels(g: Graph, S: VertexSet) -> np.ndarray:
     if not S:
         raise ValueError("source set must not be empty")
     level = np.full(g.num_vertices, -1, dtype=np.int64)
-    frontier = np.array(sorted(S), dtype=np.int64)
+    frontier = np.array(source_ids(g, S), dtype=np.int64)
     depth = 0
     while len(frontier):
         level[frontier] = depth
@@ -183,7 +185,7 @@ def hops_levels(g: Graph, S: VertexSet) -> np.ndarray:
 
 
 def _ranked_order(g: Graph, S: VertexSet, score: np.ndarray) -> VertexOrder:
-    src = sorted(S)
+    src = source_ids(g, S)
     rest = np.delete(np.arange(g.num_vertices), np.array(src, dtype=np.int64))
     rest = rest[np.argsort(-score[rest], kind="stable")]
     return VertexOrder(sequence=src + rest.tolist(), source_size=len(src))

@@ -83,13 +83,11 @@ def group_arrays(g: Graph, order: VertexOrder
         raise ValueError("order must carry a non-empty source prefix")
     n = g.num_vertices
     s = order.source_size
-    later, ws = _later_positions(g, order)
-    # each edge belongs to the group of its later endpoint; edges fully
-    # inside the source prefix belong to no group
-    mask = later >= s
+    # each live edge belongs to the group of its later endpoint
+    later, ws, source_w = _live_slots(g, order)
     a = np.arange(s, n, dtype=np.int64)
-    _, x, internal = _slot_stats(later[mask] - s, ws[mask], a)
-    return a, x, internal, float(ws[~mask].sum())
+    _, x, internal = _slot_stats(later - s, ws, a)
+    return a, x, internal, source_w
 
 
 def _slot_stats(group: np.ndarray, w: np.ndarray, slots: np.ndarray
@@ -106,11 +104,15 @@ def _slot_stats(group: np.ndarray, w: np.ndarray, slots: np.ndarray
     return total, mean, sse
 
 
-def _later_positions(g: Graph, order: VertexOrder) -> tuple[np.ndarray, np.ndarray]:
-    """Order position of each edge's later endpoint, and the edge weights."""
+def _live_slots(g: Graph, order: VertexOrder) -> tuple[np.ndarray, np.ndarray, float]:
+    """The live edges, those not inside the source prefix: the order
+    position of each one's later endpoint and its weight; and the total
+    weight of the edges inside the source prefix."""
     pos = order.positions()
     us, vs, ws = g.edge_arrays()
-    return np.maximum(pos[us], pos[vs]), ws
+    later = np.maximum(pos[us], pos[vs])
+    live = later >= order.source_size
+    return later[live], ws[live], float(ws[~live].sum())
 
 
 def pool_violators(weights: np.ndarray, values: np.ndarray
@@ -403,12 +405,10 @@ def score_sequence(g: Graph, order: VertexOrder,
     if s < 1:
         raise ValueError("order must carry a non-empty source prefix")
 
-    later, ws = _later_positions(g, order)
-    live = later >= s
-    source_w = float(ws[~live].sum())
-    seg = np.searchsorted(np.asarray(bps[1:], dtype=np.int64), later[live], side="right")
+    later, ws, source_w = _live_slots(g, order)
+    seg = np.searchsorted(np.asarray(bps[1:], dtype=np.int64), later, side="right")
     pairs = np.array([b * (b - 1) // 2 for b in bps], dtype=np.float64)
-    sumw, mu, seg_score = _slot_stats(seg, ws[live], pairs[1:] - pairs[:-1])
+    sumw, mu, seg_score = _slot_stats(seg, ws, pairs[1:] - pairs[:-1])
 
     cum_w = source_w + np.cumsum(sumw)
     densities = cum_w / pairs[1:]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, VertexSet
+from .graph_core import Graph, VertexSet, source_ids
 
 
 class ConvergenceError(RuntimeError):
@@ -110,15 +110,14 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
 
     Raises
     ------
-    ValueError if S is empty, restart is outside (0, 1), tol is not a
-    number >= 0 or max_iter is below 1.
+    ValueError if S is empty or holds an id outside 0..n-1, restart is
+    outside (0, 1), tol is not a number >= 0 or max_iter is below 1.
     ConvergenceError if ``max_iter`` iterations do not reach ``tol``.
     """
     n = g.num_vertices
     if not S:
         raise ValueError("source set must not be empty")
-    if any(v < 0 or v >= n for v in S):
-        raise ValueError(f"source ids out of range 0..{n - 1}")
+    src = source_ids(g, S)
     if not (0.0 < restart < 1.0):
         raise ValueError(f"restart must be in (0, 1), got {restart}")
 
@@ -154,7 +153,7 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
             np.multiply(np.take(p, cols, out=buf, mode="wrap"), vals, out=buf)
         return plan.sums(buf)
 
-    return _power_iteration(step, dangling, sorted(S), restart, tol, max_iter)
+    return _power_iteration(step, dangling, src, restart, tol, max_iter)
 
 
 def _power_iteration(step, dangling: np.ndarray, src: list[int],

@@ -175,6 +175,33 @@ def test_dot_output_escapes_quotes_and_backslashes(tmp_path, capsys):
         ('a"b', "c\\"), ("c\\", "d"), ('a"b', "d"), ("d", "e"), ("e", "f"), ("d", "f")}
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_dot_edges_follow_the_order_on_large_graphs(seed):
+    # two G(n, m) components and isolated vertices, a source in each
+    # component, quoted and non-ASCII labels: the edge lines are the
+    # sorted (earlier, later) position pairs
+    rng = random.Random(seed)
+    n = rng.randint(1900, 2100)
+    labels = [rng.choice(["v", 'q"', "b\\", "\u00e9", "\u4e2d"]) + str(v) for v in range(n)]
+    half = n // 2
+    edges = set()
+    while len(edges) < 3 * n:
+        lo, hi = (0, half) if rng.random() < 0.5 else (half, n - 40)
+        edges.add(tuple(sorted(rng.sample(range(lo, hi), 2))))
+    edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in sorted(edges)]
+    rng.shuffle(edges)
+    g = Graph(labels, *zip(*edges), [rng.randint(1, 9) for _ in edges])
+    S = {rng.randrange(half), rng.randrange(half, n - 40)}
+    order = sort_vertices(g, S)
+    seq = segmentation.Segmenter(g, order).discover(4)
+    pos_of = order.positions().tolist()
+    pairs = sorted((min(pos_of[u], pos_of[v]), max(pos_of[u], pos_of[v])) for u, v in edges)
+    name = [cli._dot_id(labels[v]) for v in order.sequence]
+    lines = cli.export_dot(g, seq).splitlines()
+    assert lines[2 + n:-1] == [f"  {name[a]} -- {name[b]};" for a, b in pairs]
+    assert [line.split(" [")[0] for line in lines[2:2 + n]] == [f"  {x}" for x in name]
+
+
 def test_export_subcommand_matches_dot_format(capsys):
     _, dot1, _ = run_cli(capsys, "run", "--input", KARATE_PATH,
                          "-k", "3", "--format", "dot")
@@ -573,6 +600,114 @@ def test_cli_commands_load_neither_scipy_nor_numpy_ma(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] False\n"
+
+
+# ------------------------------------------- every warning as an error
+
+def _gnm_text(n: int, m: int, seed: int, weighted: bool) -> str:
+    """m distinct random pairs of 0..n-1, sorted, with weights 1..99 if
+    weighted."""
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < m:
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    return "".join(f"{u} {v} {rng.randint(1, 99)}\n" if weighted else f"{u} {v}\n"
+                   for u, v in sorted(pairs))
+
+
+def _relabel(text: str, label) -> str:
+    """The edge list text with every label x written as label(x)."""
+    return "".join(" ".join(map(label, line.split())) + "\n" if not line.startswith("#")
+                   else line + "\n" for line in text.splitlines())
+
+
+# name -> text of each probe file
+_PROBE_FILES = {
+    "karate": lambda: KARATE.read_text(),
+    "lesmis": lambda: LESMIS.read_text(),
+    # float weights, so the weighted walk's strengths are inexact sums
+    "float": lambda: "a b 0.1\nb c 0.2\nc d 0.3\nd a 0.7\na c 0.2\nd e 0.1\ne f 0.3\nf d 0.7\n",
+    # a weighted G(300, 1200): the peel raises its cut several times, and
+    # compare grows its nine DP tables in one pass
+    "gnm": lambda: _gnm_text(300, 1200, 1, weighted=True),
+    # a sparse unit-weight G(2000, 3000): the peel visits short rows,
+    # pooling merges long runs down to its bottom block, and compare
+    # shares one pool between the norm degree and walk-score orders
+    "sparse": lambda: _gnm_text(2000, 3000, 2, weighted=False),
+    # weighted and disconnected: the hop levels end in an unreachable
+    # level, and compare's k range passes the block counts
+    "split": lambda: "a b 3\nb c 1\nc d 2\nd a 1\nd e 4\nx y 2\ny z 1\n",
+    # a star whose hub has 100 neighbours: the walk adds its row, longer
+    # than 64 entries, with np.bincount
+    "star": lambda: ("".join(f"hub v{i} {1 + i % 7}\n" for i in range(100))
+                     + "".join(f"v{i} v{i + 1} 0.{i % 9 + 1}\n" for i in range(0, 100, 3))),
+    # a SNAP-style file: a '#' header, a blank line, tab separators and one
+    # line ended by a lone \r
+    "snap": lambda: ("# Undirected graph: toy\n# Nodes: 6 Edges: 8\n\n1\t2\n1\t3\r2\t3\n"
+                     "3\t4\n4\t5\n4\t6\n5\t6\n2\t5\n"),
+    # U+00A0 separators, and lines of 2 and of 3 columns
+    "nbsp": lambda: "a\u00a0b 2\nb\u00a0c\nc d\u00a03\nd a\na c 0.5\nd\u00a0e\ne f 1\nf d\n",
+    # karate with non-ASCII labels: two-byte, and three-byte CJK
+    "karate-e": lambda: _relabel(KARATE.read_text(), lambda x: f"\u00e9{x}"),
+    "karate-cjk": lambda: _relabel(KARATE.read_text(), lambda x: f"\u4e2d{x}\u6587"),
+}
+_RUN_ARGS = ["run -k 3", "run -k 3 --format dot", "run -k 3 --format tsv", "export -k 3",
+             "run -k 3 --order degree", "run -k 3 --order pagerank", "run -k 3 --order hops",
+             "run -k 3 --scheme original --weighted-walk", "compare"]
+CLI_PROBES = [
+    *((name, args) for name in ("karate", "lesmis") for args in _RUN_ARGS),
+    ("float", "run -k 3 --weighted-walk"), ("float", "compare --weighted-walk"),
+    ("gnm", "compare"), ("gnm", "run -k 5 --format dot"),
+    ("sparse", "run -k 16 --scheme min"), ("sparse", "compare"),
+    ("split", "compare --k-min 1 --k-max 14"), ("split", "run -k 4 --order hops"),
+    # k far past every block count: the DP tables stop growing at the
+    # largest one, and the rest of the cells are infinite
+    ("karate", "compare --k-max 2000"),
+    ("star", "run -k 3"), ("star", "run -k 3 --weighted-walk"),
+    ("snap", "run -k 3"), ("snap", "compare"), ("nbsp", "run -k 3"), ("nbsp", "compare"),
+    *((name, args) for name in ("karate-e", "karate-cjk")
+      for args in ("run -k 3", "run -k 3 --format dot", "compare")),
+]
+
+
+@pytest.fixture(scope="module")
+def probe_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("probes")
+    for name, text in _PROBE_FILES.items():
+        (path / f"{name}.txt").write_text(text(), encoding="utf-8", newline="")
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, args", CLI_PROBES)
+def test_cli_probes_run_with_every_warning_an_error(probe_dir, tmp_path, capsys, name, args):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *args.split(), "--input", str(probe_dir / f"{name}.txt"),
+                           "--output", str(out))
+    assert (code, err) == (0, ""), err
+    assert out.stat().st_size > 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("line_end, blank", [("\r\n", " "), ("\n", "\u3000"),
+                                             ("\r", "\t\u00a0")])
+def test_karate_copies_give_its_report_byte_for_byte(tmp_path, capsys, line_end, blank):
+    # CRLF or lone \r line ends, and U+3000 or tab + U+00A0 separators
+    text = KARATE.read_text().replace(" ", blank).replace("\n", line_end)
+    (tmp_path / "copy.txt").write_text(text, encoding="utf-8", newline="")
+    runs = [run_cli(capsys, "run", "-k", "3", "--input", str(path))
+            for path in (KARATE_PATH, tmp_path / "copy.txt")]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+
+
+def test_dev_mode_run_with_every_warning_an_error():
+    # the import itself too, which the in-process probes cannot cover
+    env = dict(os.environ, PYTHONPATH=str(Path(nestseg.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "nestseg",
+                           "run", "-k", "3", "--input", KARATE_PATH, "--format", "dot"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("graph communities {")
 
 
 # ------------------------------------------------------------------ library

@@ -236,6 +236,14 @@ IRREGULAR_FILES = [
     b"a\x1eb\n", b"a\x1fb c\n", b"a\x00 b\n", b"a b\x00\n", b"a\x7f b\n",
     "\u00e9 \u00fc\n".encode("utf-8"), "\ufeffa b\n".encode("utf-8"),
     "a\u00a0b c\n".encode("utf-8"), b"a \xff\n", b"a b\nc d x\n",
+    # non-ASCII labels and blanks, and files where only some of the
+    # blanks' first bytes (\xc2, \xe1, \xe2, \xe3) occur, in blanks or
+    # in labels
+    "\u4e2d\u6587 b\nb \u00e9 2\n".encode("utf-8"), "a\u0085b c\n".encode("utf-8"),
+    "a\u3000b\u3000c\n\u3000b c\n".encode("utf-8"), "\u00a9 b\nb c\u00a02\n".encode("utf-8"),
+    "a\u2014b c\n".encode("utf-8"), "a\u3042 b\u2003c\n".encode("utf-8"),
+    "a\u1680b \u00e9\n".encode("utf-8"), "\u3000a b\u205fc 1\n".encode("utf-8"),
+    "a\x00\u00a0b\n\ufeffc a\u0085\n".encode("utf-8"), "a\u1681 b\u00a0\n".encode("utf-8"),
 ]
 WEIGHT_TOKENS = ["1", "2.5", "inf", "-inf", "nan", "NaN", "Infinity", "1_0",
                  "+1", "-0", ".5", "5.", "1e-400", "1e500", "0x10", "nan(1)",

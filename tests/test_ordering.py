@@ -427,6 +427,26 @@ def test_vertex_order_validation():
         VertexOrder(sequence=[0, 1], source_size=3)
 
 
+_SOURCE_ENTRY_POINTS = {
+    "sort_vertices": sort_vertices,
+    "degree_order": degree_order,
+    "pagerank_order": lambda g, S: pagerank_order(g, S, personalized_pagerank(g, {0})),
+    "hops_levels": hops_levels,
+    "personalized_pagerank": personalized_pagerank,
+}
+
+
+@pytest.mark.parametrize("entry", _SOURCE_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_source_ids_out_of_range_raise_one_error(entry, bad):
+    # every library entry point that takes a source set checks its ids
+    # alike, alone or beside a valid id
+    g = path_graph(5)
+    for S in ({bad}, {0, bad}):
+        with pytest.raises(ValueError, match=r"^source ids out of range 0\.\.4$"):
+            _SOURCE_ENTRY_POINTS[entry](g, S)
+
+
 def test_positions_and_source():
     order = VertexOrder(sequence=[2, 0, 1], source_size=1)
     # positions() is indexed by vertex id

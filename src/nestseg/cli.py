@@ -2,9 +2,9 @@
 
 Subcommands: run (one end-to-end discovery), compare (peel order vs
 degree/walk-score/hop baselines across k and schemes), verify (random
-self-checks against the brute-force oracles), export (`run --format
-dot`).  RunConfig holds the pipeline's options and is the only home of
-their defaults; the parser reads them from it.
+self-checks against the brute-force oracles).  RunConfig holds the
+pipeline's options and is the only home of their defaults; the parser
+reads them from it.
 Exit codes: 0 success, 1 input or configuration error, 2 requested k
 infeasible (more segments than strictly decreasing blocks exist).
 """
@@ -265,9 +265,10 @@ def compare_baselines(cfg: RunConfig, k_range: range) -> dict:
     return report
 
 
-# --format -> the text of a run from (wg, seq, report)
+# --format -> the text of a run from (wg, seq, report); compare's report
+# is written in the json format too
 FORMATS = {
-    "json": lambda wg, seq, report: dumps_indented(report) + "\n",
+    "json": lambda wg, seq, report: json.dumps(report, indent=2) + "\n",
     "dot": lambda wg, seq, report: export_dot(wg, seq),
     "tsv": lambda wg, seq, report: export_tsv(wg, seq),
 }
@@ -284,7 +285,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError(f"bad k range {args.k_min}..{args.k_max}")
     report = compare_baselines(_config_from_args(args),
                                range(args.k_min, args.k_max + 1))
-    _emit(dumps_indented(report) + "\n", args.output)
+    _emit(FORMATS["json"](None, None, report), args.output)
     return 0
 
 
@@ -297,33 +298,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"prop {prop}: {'OK' if passed else 'FAIL'} ({summary})")
         failed = failed or not passed
     return 1 if failed else 0
-
-
-def dumps_indented(obj, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2)`` with every line after the first
-    indented by pad, in less time.
-
-    json serves indented output with its pure-Python encoder.  Here
-    dicts with str keys and lists of containers are laid out by hand,
-    and a flat list of scalars goes through the C encoder in one call,
-    its item separator carrying the newline and the indent.  Any other
-    container is json's own indented text, and a scalar is the C
-    encoder's, which is the same.
-    """
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
-        items = ",\n".join(f"{inner}{json.dumps(key)}: {dumps_indented(value, inner)}"
-                           for key, value in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, list) and obj:
-        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
-            items = ",\n".join(inner + dumps_indented(x, inner) for x in obj)
-        else:
-            items = inner + json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, (dict, list, tuple)):
-        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-    return json.dumps(obj)
 
 
 def _emit(text: str, path: str | None):
@@ -392,10 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--trials", type=int, default=25)
     p_ver.set_defaults(func=_cmd_verify)
-
-    p_exp = sub.add_parser("export", help="DOT rendering of a run")
-    _add_common(p_exp)
-    p_exp.set_defaults(func=_cmd_run, format="dot")
 
     return parser
 

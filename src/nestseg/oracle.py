@@ -846,8 +846,11 @@ def run_checks(rng: random.Random, trials: int, props: Sequence[str]
     left, right: the peel order's lower and stretch-factor upper bounds;
     pav: pooling against the exhaustive antitonic fit; dp: the
     segmentation DP against exhaustive segmentation.  Raises ValueError
-    on reaching an unknown property.
+    before any check if trials is below 1, and on reaching an unknown
+    property.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     for prop in props:
         if prop == "density":
             viol = inst = 0

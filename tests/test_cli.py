@@ -15,13 +15,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import nestseg
 from nestseg import cli, segmentation
-from nestseg.cli import (RunConfig, compare_baselines, dumps_indented, main,
-                         resolve_source, run_pipeline)
+from nestseg.cli import RunConfig, compare_baselines, main, resolve_source, run_pipeline
 from nestseg.graph_core import Graph, load_edge_list_path
 from nestseg.oracle import reference_pagerank
 from nestseg.ordering import sort_vertices
@@ -40,28 +37,6 @@ def run_cli(capsys, *argv):
 
 
 # ------------------------------------------------------------------ reports
-
-_SCALARS = (st.text() | st.sampled_from(["", "é", '"q"', "\\", "\u2028", "a\nb"])
-            | st.integers() | st.booleans() | st.none()
-            | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
-_JSON = st.recursive(_SCALARS,
-                     lambda inner: st.lists(inner, max_size=6)
-                     | st.dictionaries(st.text(max_size=4), inner, max_size=6),
-                     max_leaves=40)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_JSON)
-def test_dumps_indented_matches_json_indent(obj):
-    assert dumps_indented(obj) == json.dumps(obj, indent=2)
-
-
-def test_dumps_indented_on_other_containers():
-    # tuples and non-str keys take json's own path, indented to depth
-    for obj in ({"a": (1, [2.5, None])}, [{1: "x", None: [True]}], {"": {}},
-                [[], {}, [[]]], ("a",)):
-        assert dumps_indented(obj) == json.dumps(obj, indent=2)
-
 
 def test_run_json_schema_and_frozen_values(capsys):
     code, out, err = run_cli(capsys, "run", "--input", KARATE_PATH,
@@ -202,11 +177,11 @@ def test_dot_edges_follow_the_order_on_large_graphs(seed):
     assert [line.split(" [")[0] for line in lines[2:2 + n]] == [f"  {x}" for x in name]
 
 
-def test_export_subcommand_matches_dot_format(capsys):
-    _, dot1, _ = run_cli(capsys, "run", "--input", KARATE_PATH,
-                         "-k", "3", "--format", "dot")
-    _, dot2, _ = run_cli(capsys, "export", "--input", KARATE_PATH, "-k", "3")
-    assert dot1 == dot2
+def test_export_is_not_a_subcommand(capsys):
+    # DOT comes from run --format dot alone
+    code, out, err = run_cli(capsys, "export", "--input", KARATE_PATH, "-k", "3")
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'export'" in err
 
 
 def test_tsv_output_shape(capsys):
@@ -394,6 +369,14 @@ def test_verify_reports_known_properties_before_an_unknown_one(capsys):
     assert code == 1
     assert out == "prop pav: OK (5 sequences, 0 mismatches)\n"
     assert err == "error: unknown property 'bogus'\n"
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_without_trials_fails(capsys, trials):
+    # no property passes with nothing checked
+    code, out, err = run_cli(capsys, "verify", "--trials", str(trials))
+    assert (code, out) == (1, "")
+    assert err == f"error: trials must be >= 1, got {trials}\n"
 
 
 # --------------------------------------------------------------- exit codes
@@ -651,7 +634,7 @@ _PROBE_FILES = {
     "karate-e": lambda: _relabel(KARATE.read_text(), lambda x: f"\u00e9{x}"),
     "karate-cjk": lambda: _relabel(KARATE.read_text(), lambda x: f"\u4e2d{x}\u6587"),
 }
-_RUN_ARGS = ["run -k 3", "run -k 3 --format dot", "run -k 3 --format tsv", "export -k 3",
+_RUN_ARGS = ["run -k 3", "run -k 3 --format dot", "run -k 3 --format tsv",
              "run -k 3 --order degree", "run -k 3 --order pagerank", "run -k 3 --order hops",
              "run -k 3 --scheme original --weighted-walk", "compare"]
 CLI_PROBES = [
@@ -718,11 +701,11 @@ def test_library_and_cli_defaults_agree(capsys):
     _, _, report = run_pipeline(RunConfig(input_path=KARATE_PATH))
     code, out, err = run_cli(capsys, "run", "--input", KARATE_PATH)
     assert code == 0, err
-    assert out == dumps_indented(report) + "\n"
+    assert out == json.dumps(report, indent=2) + "\n"
     report = compare_baselines(RunConfig(input_path=str(LESMIS)), range(2, 11))
     code, out, err = run_cli(capsys, "compare", "--input", str(LESMIS))
     assert code == 0, err
-    assert out == dumps_indented(report) + "\n"
+    assert out == json.dumps(report, indent=2) + "\n"
 
 
 def _float_weighted_edge_file(rng: random.Random, path: Path) -> None:
@@ -759,7 +742,7 @@ def test_original_scheme_peels_the_library_graph(tmp_path, capsys):
         assert json.loads(out)["order"] == names, trial
         _, _, report = run_pipeline(RunConfig(input_path=str(path), k=1,
                                               scheme=WeightingScheme.ORIGINAL))
-        assert out == dumps_indented(report) + "\n"
+        assert out == json.dumps(report, indent=2) + "\n"
 
 
 # nestseg.cli globals that every run calls, and the one each order adds

@@ -28,7 +28,6 @@ from .segmentation import (CommunitySequence, InfeasibleKError, Segmenter,
 from .weighting import (PageRankVector, WeightingScheme, apply_weighting,
                         personalized_pagerank)
 
-MAX_DEGREE = "max-degree"
 COMPARE_SCHEMES = (WeightingScheme.NORM, WeightingScheme.SUM, WeightingScheme.MIN)
 
 
@@ -49,7 +48,7 @@ def resolve_source(g: Graph, source: list[str] | None) -> set[int]:
     """Map configured source labels to ids; default to the heaviest vertex."""
     if g.num_vertices == 0:
         raise ValueError("graph has no vertices")
-    if source is None or source == [MAX_DEGREE]:
+    if source is None:
         # argmax returns the first maximum, the lowest id among ties
         return {int(np.argmax(g.weighted_degrees()))}
     ids = set()
@@ -329,7 +328,7 @@ def _add_common(p: argparse.ArgumentParser, with_k: bool = True):
     p.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
                    help="edge list file")
     p.add_argument("--source", type=_labels, default=RunConfig.source,
-                   help=f"comma-separated source labels, or '{MAX_DEGREE}'")
+                   help="comma-separated source labels (default: the heaviest vertex)")
     if with_k:
         p.add_argument("-k", type=int, default=RunConfig.k, help="number of communities")
         p.add_argument("--scheme", default=RunConfig.scheme.value,

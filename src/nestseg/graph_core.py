@@ -29,19 +29,19 @@ class Graph:
     label of vertex i.  ``us``, ``vs``, ``ws`` list each edge once with
     u < v, by ascending u and, for equal u, in input order.  Row v of
     the CSR arrays lists v's neighbors ``indices[indptr[v]:indptr[v+1]]``
-    with the matching ``weights``; slot s holds edge ``slot_edge[s]``.
+    in ascending id, with the matching ``weights``; slot s holds edge
+    ``slot_edge[s]``.
 
-    Every graph lays its rows out from that edge list by one rule,
-    ``_rows``: edge i adds u_i -> v_i and then v_i -> u_i, and a stable
-    sort by row keeps that order within each row.  So row v lists its
-    lower neighbors in edge-list order, then its upper neighbors in
-    input order.  ``with_weights`` keeps the layout and gathers the new
-    weights through ``slot_edge``.  No output depends on the order
+    The constructor is the one place that orders a row: row v lists its
+    lower neighbors (the edges with ``vs == v``, by ascending ``us``),
+    then its upper neighbors (the edges with ``us == v``, by ascending
+    ``vs``).  ``with_weights`` keeps the layout and gathers the new
+    weights through ``slot_edge``.  The walk adds each row as it lies,
+    in ascending column order.  No other output depends on the order
     within a row: a vertex's weight sum is added in edge-list order
     (``vertex_sums``) or correctly rounded (``weighted_degrees``), the
-    peel takes each edge off a vertex's degree once, the walk sorts each
-    row by column, and segmentation and the DOT edge list read the edge
-    list.
+    peel takes each edge off a vertex's degree once, and segmentation
+    and the DOT edge list read the edge list.
 
     Weights are finite, nonnegative and at most MAX_WEIGHT (2**400);
     self-loops, unknown ids and duplicate edges (either orientation) are
@@ -62,14 +62,34 @@ class Graph:
         b = np.asarray(tails, dtype=np.int64)
         w = np.asarray(weights, dtype=np.float64)
         lo, hi = _check_edges(self.labels, a, b, w)
+        ups = np.bincount(lo, minlength=n)
         by_lo = _by_row(lo)
-        self.us, self.vs, self.ws = lo.take(by_lo), hi.take(by_lo), w.take(by_lo)
+        # us is the lower ends in ascending order: a repeat, not a gather
+        self.us = np.repeat(np.arange(n, dtype=np.int64), ups)
+        self.vs, self.ws = hi.take(by_lo), w.take(by_lo)
         del a, b, w, lo, hi, by_lo  # before the row layout, which sets the build's peak
 
-        counts = np.bincount(self.us, minlength=n) + np.bincount(self.vs, minlength=n)
+        # row v: its lower neighbors (edges by (vs, us)), then its upper
+        # neighbors (edges by (us, vs)), each part in ascending id
+        by_hi = _by_row(self.vs)
+        lower = self.us.take(by_hi)
+        by_lo = by_hi.take(_by_row(lower))
+        lows = np.bincount(self.vs, minlength=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
-        self.indices, self.slot_edge = _rows(self.us, self.vs)
+        np.cumsum(lows + ups, out=self.indptr[1:])
+        # the slots of the rows' lower parts
+        low = np.repeat(np.tile([True, False], n), np.column_stack((lows, ups)).reshape(-1))
+        # each array goes as soon as it is placed, as they set the build's peak
+        self.slot_edge = np.empty(len(low), dtype=np.int64)
+        self.slot_edge[low] = by_hi
+        del by_hi
+        self.indices = np.empty(len(low), dtype=np.int64)
+        self.indices[low] = lower
+        del lower
+        np.logical_not(low, out=low)
+        self.slot_edge[low] = by_lo
+        self.indices[low] = self.vs.take(by_lo)
+        del by_lo, low
         self.weights = self.ws.take(self.slot_edge)
         for name in self.__slots__[2:]:  # the arrays
             getattr(self, name).flags.writeable = False
@@ -85,8 +105,7 @@ class Graph:
     def vertex_sums(self) -> np.ndarray:
         """Each vertex's weight sum, in id order: its edges' weights added
         left to right from 0.0 in edge-list order, by one np.bincount,
-        which adds in input order.  Row v lists its slots in that order,
-        so this is also its row's running sum."""
+        which adds in input order."""
         ends = np.column_stack((self.us, self.vs)).reshape(-1)
         # float64 also when there is no edge: a weighted bincount of
         # nothing is int64
@@ -148,19 +167,6 @@ def _by_row(rows: np.ndarray) -> np.ndarray:
     keys.sort()
     keys &= (1 << bits) - 1
     return keys
-
-
-def _rows(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR ``indices`` of the edges us_i -- vs_i, row after row, and
-    the edge of each slot: edge i adds us_i -> vs_i and then vs_i -> us_i,
-    and a stable sort by row keeps that order within each row."""
-    ends = np.column_stack((us, vs)).reshape(-1)  # position p's row; p ^ 1's end
-    keys = _by_row(ends)
-    keys ^= 1
-    indices = ends.take(keys)
-    del ends
-    keys >>= 1  # position 2i or 2i + 1 belongs to edge i
-    return indices, keys
 
 
 # The largest edge weight accepted.  The duplicate check's int64 codes

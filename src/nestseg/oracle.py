@@ -846,11 +846,14 @@ def run_checks(rng: random.Random, trials: int, props: Sequence[str]
     left, right: the peel order's lower and stretch-factor upper bounds;
     pav: pooling against the exhaustive antitonic fit; dp: the
     segmentation DP against exhaustive segmentation.  Raises ValueError
-    before any check if trials is below 1, and on reaching an unknown
-    property.
+    before any check if trials is below 1 or a property is not one of
+    VERIFY_PROPS.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    for prop in props:
+        if prop not in VERIFY_PROPS:
+            raise ValueError(f"unknown property {prop!r}")
     for prop in props:
         if prop == "density":
             viol = inst = 0
@@ -878,7 +881,7 @@ def run_checks(rng: random.Random, trials: int, props: Sequence[str]
                 if abs(sse - ref) > 1e-9:
                     viol += 1
             summary = f"{trials} sequences, {viol} mismatches"
-        elif prop == "dp":
+        else:  # dp
             viol = 0
             for _ in range(trials):
                 n = rng.randint(1, 10)
@@ -891,6 +894,4 @@ def run_checks(rng: random.Random, trials: int, props: Sequence[str]
                 if abs(cost - ref) > 1e-9:
                     viol += 1
             summary = f"{trials} sequences, {viol} mismatches"
-        else:
-            raise ValueError(f"unknown property {prop!r}")
         yield prop, viol == 0, summary

@@ -114,7 +114,6 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
     outside (0, 1), tol is not a number >= 0 or max_iter is below 1.
     ConvergenceError if ``max_iter`` iterations do not reach ``tol``.
     """
-    n = g.num_vertices
     if not S:
         raise ValueError("source set must not be empty")
     src = source_ids(g, S)
@@ -122,27 +121,20 @@ def personalized_pagerank(g: Graph, S: VertexSet, restart: float = 0.1,
         raise ValueError(f"restart must be in (0, 1), got {restart}")
 
     # each row of the walk operator is added as scipy's csr_matvec adds
-    # it: columns ascending, left to right from 0.0; the keys row * n +
-    # column (exact: n * n < 2**63) sort the columns within each row
+    # it: columns ascending, as every Graph lists them, left to right
+    # from 0.0
     plan = RowSumPlan(g.indptr)
-    key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(g.indptr))
-    key += g.indices
-    if use_edge_weights:
-        by_col = np.argsort(key)
-        cols, w, strength = g.indices[by_col], g.weights[by_col], g.vertex_sums()
-    else:
-        key.sort()
-        cols, strength = np.remainder(key, n, out=key), np.diff(g.indptr).astype(float)
+    strength = g.vertex_sums() if use_edge_weights else np.diff(g.indptr).astype(float)
     dangling = strength == 0.0
     with np.errstate(over="ignore"):  # a strength below about 5.6e-309
         inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, strength))
-    cols = plan.arrange(cols)
+    cols = plan.arrange(g.indices)
     buf = np.empty(len(cols))
     # the entries are A[x, y] * inv[x], or inv[x] itself unweighted; in a
     # row x whose inv[x] overflowed, A[x, y] / strength[x]
     vals = None
     if use_edge_weights:
-        w, over = plan.arrange(w), np.isinf(inv[cols])
+        w, over = plan.arrange(g.weights), np.isinf(inv[cols])
         vals = w * np.where(over, 0.0, inv[cols])
         vals[over] = w[over] / strength[cols[over]]
 

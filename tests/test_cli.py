@@ -363,12 +363,13 @@ def test_verify_unknown_property(capsys):
     assert "unknown property" in err
 
 
-def test_verify_reports_known_properties_before_an_unknown_one(capsys):
-    code, out, err = run_cli(capsys, "verify", "--props", "pav,bogus",
+@pytest.mark.parametrize("props", ["dp,bogus", "dp,"])
+def test_verify_checks_every_property_before_running_one(capsys, props):
+    # no property runs, so none reports OK before the unknown one fails
+    code, out, err = run_cli(capsys, "verify", "--props", props,
                              "--seed", "0", "--trials", "5")
-    assert code == 1
-    assert out == "prop pav: OK (5 sequences, 0 mismatches)\n"
-    assert err == "error: unknown property 'bogus'\n"
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown property {props.split(',')[1]!r}\n"
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -777,11 +778,24 @@ def test_layer_calls_are_looked_up_by_name(monkeypatch, capsys):
 def test_resolve_source_default_picks_heaviest():
     g = load_edge_list_path(KARATE_PATH)
     assert resolve_source(g, None) == {g.label_index["34"]}
-    assert resolve_source(g, ["max-degree"]) == {g.label_index["34"]}
     assert resolve_source(g, ["1", "2"]) == {g.label_index["1"],
                                             g.label_index["2"]}
     with pytest.raises(ValueError):
         resolve_source(g, ["ghost"])
+
+
+def test_source_named_max_degree_is_a_label(tmp_path, capsys):
+    # d is the heaviest vertex; --source names the vertex labelled max-degree
+    path = tmp_path / "named.txt"
+    path.write_text("max-degree a\nmax-degree b\nd a\nd b\nd c\nd e\n")
+    g = load_edge_list_path(str(path))
+    assert resolve_source(g, ["max-degree"]) == {g.label_index["max-degree"]}
+    assert resolve_source(g, None) == {g.label_index["d"]}
+    for source, first in (("max-degree", "max-degree"), ("", "d")):
+        code, out, err = run_cli(capsys, "run", "--input", str(path), "-k", "1",
+                                 "--source", source)
+        assert code == 0, err
+        assert json.loads(out)["order"][0] == first, source
 
 
 def test_resolve_source_ties_go_to_the_lowest_id():

@@ -17,7 +17,7 @@ from nestseg.graph_core import (Graph, GraphFormatError, _pack_bits, _parse,
 from nestseg.cli import resolve_source
 from nestseg.oracle import (avg_degree_density, cross_density,
                             cross_pair_count, cross_weight, graph_from_edges,
-                            induced_density, induced_weight,
+                            induced_density, induced_weight, random_graph,
                             reference_load_edge_list)
 
 from conftest import (dyadic_graph, edge_list, graph_arrays, neighbor_weights,
@@ -75,18 +75,21 @@ def test_parse_error_reports_one_based_line_number():
 
 
 def test_rows_keep_edge_order():
-    # edge i adds a_i -> b_i and then b_i -> a_i; rows keep that order
+    # the edge list keeps input order within each lower end; each row
+    # lists its neighbors in ascending id, each slot naming its edge
     g = graph_from_edges(list("abcd"), [(2, 0, 1.0), (0, 1, 2.0), (3, 0, 3.0),
                                         (1, 2, 4.0)])
     rows = [g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() for v in range(4)]
-    assert rows == [[2, 1, 3], [0, 2], [0, 1], [0]]
+    assert rows == [[1, 2, 3], [0, 2], [0, 1], [0]]
+    assert g.weights.tolist() == [2.0, 1.0, 3.0, 2.0, 4.0, 1.0, 4.0, 3.0]
+    assert g.slot_edge.tolist() == [1, 0, 2, 1, 3, 0, 3, 2]
     assert edge_list(g) == [(0, 2, 1.0), (0, 1, 2.0), (0, 3, 3.0), (1, 2, 4.0)]
 
 
 def test_rows_keep_edge_order_seeded():
     # the edge list runs by ascending lower end, in input order within
-    # each; row v lists its lower neighbors in that order (ascending id),
-    # then its upper neighbors in input order, each with its weight
+    # each; row v lists its lower neighbors, then its upper neighbors,
+    # each in ascending id, with their weights
     rng = random.Random(11)
     for _ in range(30):
         n = rng.randint(2, 40)
@@ -99,11 +102,53 @@ def test_rows_keep_edge_order_seeded():
         assert edge_list(g) == [(u, v, float(i)) for u, i, v in ranked]
         for v in range(n):
             lower = sorted((min(e), float(i)) for i, e in enumerate(edges) if max(e) == v)
-            upper = [(max(e), float(i)) for i, e in enumerate(edges) if min(e) == v]
+            upper = sorted((max(e), float(i)) for i, e in enumerate(edges) if min(e) == v)
             lo, hi = g.indptr[v], g.indptr[v + 1]
             assert list(zip(g.indices[lo:hi].tolist(), g.weights[lo:hi].tolist())) \
                 == lower + upper
             assert (g.ws[g.slot_edge[lo:hi]] == g.weights[lo:hi]).all()
+
+
+def _assert_rows_ascend(g: Graph):
+    """Every row lists its neighbors in strictly ascending id; slot s
+    holds the other end of edge slot_edge[s] and that edge's weight."""
+    rows = np.repeat(np.arange(g.num_vertices), np.diff(g.indptr))
+    assert len(g.indices) == len(g.slot_edge) == 2 * g.total_edge_count
+    assert (np.diff(rows * g.num_vertices + g.indices) > 0).all()
+    us, vs = g.us[g.slot_edge], g.vs[g.slot_edge]
+    assert (((us == rows) & (vs == g.indices)) | ((vs == rows) & (us == g.indices))).all()
+    assert np.array_equal(g.ws[g.slot_edge], g.weights)
+
+
+def test_every_graph_lays_its_rows_out_in_ascending_id(tmp_path):
+    rng = random.Random(29)
+    npr = np.random.default_rng(29)
+    descending = 0
+    for trial in range(40):
+        n = rng.randint(2, 30)
+        # a path first, so that a loaded file numbers the labels 0..n-1,
+        # then the other pairs with each vertex's upper neighbors in
+        # descending id
+        path = [(v, v + 1) for v in range(n - 1)]
+        rest = [(a, b) for a in range(n) for b in range(n - 1, a + 1, -1)
+                if rng.random() < 0.4]
+        pairs = path + [(b, a) if rng.random() < 0.5 else (a, b) for a, b in rest]
+        labels = [str(v) for v in range(n)]
+        w = [rng.randint(0, 8) / 4.0 for _ in pairs]
+        heads, tails = [a for a, _ in pairs], [b for _, b in pairs]
+        text = [f"{a} {b} {x}" for (a, b), x in zip(pairs, w)]
+        path_file = tmp_path / f"g{trial}.txt"
+        path_file.write_text("\n".join(text) + "\n")
+        g = Graph(labels, heads, tails, w)
+        descending += bool((np.diff(g.us * n + g.vs) < 0).any())
+        graphs = [g, g.with_weights(npr.random(len(pairs))),
+                  graph_from_edges(labels, zip(heads, tails, w)),
+                  load_edge_list(text), load_edge_list_path(str(path_file)),
+                  random_graph(rng, n, 0.5, weighted=True, connected=True)]
+        assert graph_arrays(graphs[3]) == graph_arrays(graphs[4]) == graph_arrays(g)
+        for h in graphs:
+            _assert_rows_ascend(h)
+    assert descending > 30, descending
 
 
 def test_zero_weight_edges_are_allowed():

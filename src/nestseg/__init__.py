@@ -8,6 +8,15 @@ decreasing density by pooling plus dynamic programming.
 The public names are the ones imported below.
 """
 
+import os
+
+# nestseg calls no BLAS routine, yet numpy's OpenBLAS starts a worker
+# that spins 2**28 cycles (about 0.13 s on a 2-vCPU Xeon VM) before it
+# sleeps, CPU time that overlaps every call; 2**4 cycles puts it to
+# sleep at once.  OpenBLAS reads the variable when numpy loads, so this
+# must precede the first import of numpy; a value the user set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .graph_core import (
     Graph,
     GraphFormatError,

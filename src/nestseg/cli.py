@@ -45,12 +45,15 @@ class RunConfig:
 
 
 def resolve_source(g: Graph, source: list[str] | None) -> set[int]:
-    """Map configured source labels to ids; default to the heaviest vertex."""
+    """Map configured source labels to ids; None picks the heaviest vertex,
+    and an empty list is an error whatever the scheme and order."""
     if g.num_vertices == 0:
         raise ValueError("graph has no vertices")
     if source is None:
         # argmax returns the first maximum, the lowest id among ties
         return {int(np.argmax(g.weighted_degrees()))}
+    if not source:
+        raise ValueError("source set must not be empty")
     ids = set()
     for label in source:
         if label not in g.label_index:

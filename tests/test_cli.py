@@ -509,6 +509,18 @@ def test_unknown_source_exits_one(capsys):
     assert "unknown source" in err
 
 
+@pytest.mark.parametrize("argv", [
+    *(("run", "--scheme", scheme.value, "--order", order)
+      for scheme in WeightingScheme for order in cli.ORDERS),
+    ("compare",),
+], ids=" ".join)
+def test_empty_source_list_has_one_message(capsys, argv):
+    # "," parses to an empty label list, not to the default source
+    code, out, err = run_cli(capsys, argv[0], "--input", KARATE_PATH,
+                             "--source", ",", *argv[1:])
+    assert (code, out, err) == (1, "", "error: source set must not be empty\n")
+
+
 def test_infeasible_k_exits_two_with_maximum(capsys):
     code, _, err = run_cli(capsys, "run", "--input", KARATE_PATH, "-k", "40")
     assert code == 2
@@ -584,6 +596,37 @@ def test_cli_commands_load_neither_scipy_nor_numpy_ma(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] False\n"
+
+
+def _python(code: str, **env: str) -> str:
+    """stdout of code run in a fresh interpreter that imports nestseg from
+    this tree, with env's variables set and OPENBLAS_THREAD_TIMEOUT only if
+    env names it."""
+    full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    full.update(env, PYTHONPATH=str(Path(nestseg.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=full, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS starts no worker on one core")
+def test_import_puts_idle_openblas_workers_to_sleep():
+    # numpy's OpenBLAS workers spin about 0.13 s after each threaded call
+    # unless nestseg shortens their timeout before numpy loads
+    code = ("import time, nestseg, numpy as np\n"
+            "np.ones((512, 512)) @ np.ones((512, 512))\n"
+            "start = time.process_time()\n"
+            "time.sleep(0.3)\n"
+            "print(time.process_time() - start)\n")
+    assert float(_python(code, OPENBLAS_NUM_THREADS="2")) < 0.03
+
+
+def test_import_keeps_the_users_openblas_timeout():
+    code = "import os, nestseg; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    assert _python(code, OPENBLAS_THREAD_TIMEOUT="30") == "30\n"
 
 
 # ------------------------------------------- every warning as an error

@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graph_core import Graph, GraphFormatError, load_edge_list_path
-from .ordering import (VertexOrder, degree_order, hops_levels, pagerank_order,
-                       sort_vertices)
+from .ordering import (VertexOrder, degree_order, heaviest_vertex, hops_levels,
+                       pagerank_order, sort_vertices)
 from .segmentation import (CommunitySequence, InfeasibleKError, Segmenter,
                            discover, group_arrays, grow_tables, score_sequence)
 from .weighting import (PageRankVector, WeightingScheme, apply_weighting,
@@ -45,13 +45,14 @@ class RunConfig:
 
 
 def resolve_source(g: Graph, source: list[str] | None) -> set[int]:
-    """Map configured source labels to ids; None picks the heaviest vertex,
-    and an empty list is an error whatever the scheme and order."""
+    """Map configured source labels to ids; None picks the vertex of
+    largest correctly rounded weight sum, the lowest id among ties
+    (``ordering.heaviest_vertex``, the head of the degree ranking), and
+    an empty list is an error whatever the scheme and order."""
     if g.num_vertices == 0:
         raise ValueError("graph has no vertices")
     if source is None:
-        # argmax returns the first maximum, the lowest id among ties
-        return {int(np.argmax(g.weighted_degrees()))}
+        return {heaviest_vertex(g)}
     if not source:
         raise ValueError("source set must not be empty")
     ids = set()
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="randomized oracle self-checks")
     p_ver.add_argument("--props", default="",
-                       help="comma-separated: density,left,right,pav,dp")
+                       help="comma-separated: density,left,right,pav,dp,degree")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--trials", type=int, default=25)
     p_ver.set_defaults(func=_cmd_verify)

@@ -3,7 +3,6 @@ edge-list parsing."""
 
 from __future__ import annotations
 
-import math
 from typing import AbstractSet, Iterable
 
 import numpy as np
@@ -39,9 +38,11 @@ class Graph:
     weights through ``slot_edge``.  The walk adds each row as it lies,
     in ascending column order.  No other output depends on the order
     within a row: a vertex's weight sum is added in edge-list order
-    (``vertex_sums``) or correctly rounded (``weighted_degrees``), the
-    peel takes each edge off a vertex's degree once, and segmentation
-    and the DOT edge list read the edge list.
+    (``vertex_sums``), the degree ranking orders correctly rounded sums
+    (``ordering.degree_ranking``: ``vertex_sums`` with a proven error
+    bound, ``math.fsum`` where the bound cannot decide), the peel takes
+    each edge off a vertex's degree once, and segmentation and the DOT
+    edge list read the edge list.
 
     Weights are finite, nonnegative and at most MAX_WEIGHT (2**400);
     self-loops, unknown ids and duplicate edges (either orientation) are
@@ -111,19 +112,6 @@ class Graph:
         # nothing is int64
         return np.bincount(ends, np.repeat(self.ws, 2), minlength=self.num_vertices
                            ).astype(np.float64, copy=False)
-
-    def weighted_degrees(self) -> np.ndarray:
-        """Each vertex's weight sum, correctly rounded as by ``math.fsum``
-        over its row, in id order (float64)."""
-        w = self.ws
-        if (w == np.floor(w)).all() and w.sum() < 2.0**53:
-            # integer weights whose float total is below 2**53: their exact
-            # total is too (rounding nonnegative sums is monotone), so every
-            # partial sum of a vertex's weights, in any order, is an integer
-            # below 2**53 and exact, and vertex_sums is what fsum returns
-            return self.vertex_sums()
-        ptr, wts = self.indptr.tolist(), memoryview(self.weights)
-        return np.array([math.fsum(wts[a:b]) for a, b in zip(ptr, ptr[1:])])
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return the (u, v, w) edge arrays, u < v, by ascending u."""

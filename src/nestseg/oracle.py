@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graph_core import Graph, GraphFormatError, VertexSet
-from .ordering import VertexOrder, sort_vertices
+from .cli import resolve_source
+from .ordering import VertexOrder, degree_order, sort_vertices
 from .segmentation import (InfeasibleKError, SegmentTable,
                            _centred_prefix_sums, _span_cost, pool_violators)
 from .weighting import PageRankVector, WeightingScheme, _power_iteration
@@ -116,6 +117,38 @@ def random_graph(rng: random.Random, n: int, edge_prob: float,
                 edges[(u, v)] = w()
     labels = [str(i) for i in range(n)]
     return graph_from_edges(labels, [(u, v, wt) for (u, v), wt in edges.items()])
+
+
+# The weights the degree checks draw from: the loader's whole range, from
+# zero and the least subnormal to MAX_WEIGHT.
+DEGREE_WEIGHTS = (0.0, 5e-324, 1e-310, 0.1, 1.0, 3.0, 2e120, 2.0**400)
+
+
+def random_tied_graph(rng: random.Random,
+                      weights: Sequence[float] = DEGREE_WEIGHTS) -> Graph:
+    """Random test graph with labels "0".."n-1" whose weights are drawn
+    from up to four of weights, and whose rows repeat in another order,
+    so that exact weight sums tie.
+
+    Vertices 0..h-1 (4 <= h <= 10) are hubs, joined at random.  Each
+    other vertex copies one of a few weight lists of 3 to h weights: it
+    joins as many random hubs by the list's weights, shuffled.  It adds
+    them in ascending hub order (its edges' lower ends), so the copies'
+    exact sums are equal while their left-to-right sums may round apart.
+    """
+    h = rng.randint(4, 10)
+    palette = rng.sample(list(weights), rng.randint(1, min(4, len(weights))))
+    edges = [(u, v, rng.choice(palette)) for u in range(h) for v in range(u + 1, h)
+             if rng.random() < 0.5]
+    lists = [[rng.choice(palette) for _ in range(rng.randint(3, h))]
+             for _ in range(rng.randint(1, 3))]
+    n = h + rng.randint(0, 16)
+    for v in range(h, n):
+        ws = list(rng.choice(lists))
+        rng.shuffle(ws)
+        edges += zip(sorted(rng.sample(range(h), len(ws))), [v] * len(ws), ws)
+    rng.shuffle(edges)
+    return graph_from_edges([str(v) for v in range(n)], edges)
 
 
 def _members(n: int, V: VertexSet) -> np.ndarray:
@@ -309,6 +342,15 @@ def reference_peel(g: Graph, S: VertexSet) -> list[int]:
                 heapq.heappush(heap, (wdeg[y], y))
     removed.reverse()
     return src + removed
+
+
+def reference_weighted_degrees(g: Graph) -> np.ndarray:
+    """Each vertex's weight sum correctly rounded, by ``math.fsum`` over
+    its row, in id order (float64): the sums that degree_order and
+    resolve_source rank."""
+    ptr = g.indptr.tolist()
+    return np.array([math.fsum(g.weights[a:b].tolist()) for a, b in zip(ptr, ptr[1:])],
+                    dtype=np.float64)
 
 
 def reference_ranked_order(g: Graph, S: VertexSet, score: Sequence[float]
@@ -833,7 +875,7 @@ def sample_peel_bounds(g: Graph, order: VertexOrder, rng,
             "lower_violations": lower_viol, "upper_violations": upper_viol}
 
 
-VERIFY_PROPS = ("density", "left", "right", "pav", "dp")
+VERIFY_PROPS = ("density", "left", "right", "pav", "dp", "degree")
 
 
 def run_checks(rng: random.Random, trials: int, props: Sequence[str]
@@ -845,7 +887,9 @@ def run_checks(rng: random.Random, trials: int, props: Sequence[str]
     mismatch.  density: the optimum's attach/remove density property;
     left, right: the peel order's lower and stretch-factor upper bounds;
     pav: pooling against the exhaustive antitonic fit; dp: the
-    segmentation DP against exhaustive segmentation.  Raises ValueError
+    segmentation DP against exhaustive segmentation; degree: the degree
+    order and the default source of ``random_tied_graph`` graphs against
+    the fsum ranking of ``reference_weighted_degrees``.  Raises ValueError
     before any check if trials is below 1 or a property is not one of
     VERIFY_PROPS.
     """
@@ -881,6 +925,18 @@ def run_checks(rng: random.Random, trials: int, props: Sequence[str]
                 if abs(sse - ref) > 1e-9:
                     viol += 1
             summary = f"{trials} sequences, {viol} mismatches"
+        elif prop == "degree":
+            viol = 0
+            for _ in range(trials):
+                g = random_tied_graph(rng)
+                wdeg = reference_weighted_degrees(g)
+                n = g.num_vertices
+                S = set(rng.sample(range(n), rng.randint(0, min(3, n))))
+                top = reference_ranked_order(g, set(), wdeg)[0]
+                if (degree_order(g, S).sequence != reference_ranked_order(g, S, wdeg)
+                        or resolve_source(g, None) != {top}):
+                    viol += 1
+            summary = f"{trials} graphs, {viol} mismatches"
         else:  # dp
             viol = 0
             for _ in range(trials):

@@ -184,18 +184,116 @@ def hops_levels(g: Graph, S: VertexSet) -> np.ndarray:
     return level
 
 
-def _ranked_order(g: Graph, S: VertexSet, score: np.ndarray) -> VertexOrder:
+def _degree_bounds(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, lo, hi): each vertex's weight sum s = ``g.vertex_sums()`` and
+    floats lo <= d <= hi around its correctly rounded sum d, the value
+    ``math.fsum`` returns over its row.  lo and hi are s itself, the
+    same array, when s is exact: integer weights whose float total is
+    below 2**53 have an exact total below 2**53 too (rounding a
+    nonnegative sum is monotone), so every partial sum is an integer
+    below 2**53, exact in any order.
+
+    Otherwise, with u = 2**-53, a row of m >= 1 weights gets
+    e = fl(s * m * 2**-52), lo = fl(s - e) and hi = fl(s + e); the row
+    of no weight has s = 0 = d and e = 0.  Proof, for exact sum x:
+
+    1. s adds the weights left to right from 0.0.  The first addition
+       is exact, and each later one returns the exact sum times
+       (1 + delta), |delta| <= u: no sum overflows (each stays below
+       2**463, see graph_core.MAX_WEIGHT), and a float sum below
+       2**-1021 is exact, as every multiple of 2**-1074 below it is a
+       float.  For m nonnegative terms this gives
+       |s - x| <= gamma x, gamma = (m - 1) u / (1 - (m - 1) u)
+       (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+       ed. 2002, section 4.2).  m < 2**32, as n**2 < 2**63, so
+       gamma < 2**-21 and
+       |s - x| <= gamma s / (1 - gamma) <= 1.000001 (m - 1) u s.
+    2. If s < 2**-1021, every partial sum lies below it, every addition
+       was exact and s = x: lo <= s <= hi as e >= 0.  Otherwise
+       c = m * 2**-52 is exact and c s >= 2**-1073, so the product's
+       error, at most u c s plus 2**-1075 should it be subnormal, is
+       below c s (u + 1/4), and e > 1.49 m u s.
+    3. hi >= (s + e)(1 - u) > s + (1.49 (1 - u) m - 1) u s
+       >= s + 1.000001 (m - 1) u s >= x.  If e >= s, lo <= 0 <= x;
+       else lo <= (s - e)(1 + u) < s - (1.49 m - 1) u s
+       <= s - 1.000001 (m - 1) u s <= x.
+    4. lo <= x <= hi, and lo and hi are floats: rounding to nearest is
+       monotone, so lo <= d = fl(x) <= hi as well.
+    """
+    s = g.vertex_sums()
+    w = g.ws
+    if (w == np.floor(w)).all() and w.sum() < 2.0**53:
+        return s, s, s
+    e = s * (np.diff(g.indptr) * 2.0**-52)
+    return s, s - e, s + e
+
+
+def _row_fsums(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each of the rows' weights, in the order of rows."""
+    starts, wts = g.indptr[rows].tolist(), memoryview(g.weights)
+    return np.array([math.fsum(wts[a:b]) for a, b in zip(starts, g.indptr[rows + 1].tolist())],
+                    dtype=np.float64)
+
+
+def degree_ranking(g: Graph) -> np.ndarray:
+    """Every id by descending correctly rounded weight sum (``math.fsum``
+    over its row), ties by ascending id.
+
+    The ids are sorted by descending ``g.vertex_sums()`` and cut into
+    runs with ``_degree_bounds``: a run starts at position p when
+    every lower bound before p lies above every upper bound from p on
+    (upper bounds need not fall along the sort, as they grow with the
+    row length).  Each rounded sum of a run then lies below each of the
+    runs before it, so only the rows of a run of two or more take
+    ``math.fsum``, and such a run is sorted by (-fsum, id).  Exact sums
+    (integer weights) need no run: their stable sort is the ranking.
+    """
+    s, lo, hi = _degree_bounds(g)
+    if lo is hi:
+        return np.argsort(-s, kind="stable")
+    # rows of equal s share a run, as lo <= s <= hi, and each such run is
+    # sorted by id below: the sort need not be stable, and quicksort is
+    # several times faster
+    order = np.argsort(-s)
+    lo, hi = lo[order], hi[order]
+    cut = np.minimum.accumulate(lo)[:-1] > np.maximum.accumulate(hi[::-1])[::-1][1:]
+    run = np.concatenate(([0], np.cumsum(cut)))
+    shared = np.bincount(run)[run] > 1
+    if not shared.any():
+        return order
+    key = np.zeros(len(order))
+    key[shared] = -_row_fsums(g, order[shared])
+    return order[np.lexsort((order, key, run))]
+
+
+def heaviest_vertex(g: Graph) -> int:
+    """``degree_ranking(g)[0]`` without a sort: the vertex of largest
+    correctly rounded weight sum, the lowest id among ties.  Only the
+    rows whose upper bound reaches the largest lower bound can hold the
+    maximum, and only they take ``math.fsum``, when there are two or
+    more of them.  The graph must have a vertex."""
+    s, lo, hi = _degree_bounds(g)
+    if lo is hi:
+        return int(np.argmax(s))  # the first maximum, the lowest id among ties
+    rows = np.flatnonzero(hi >= lo.max())
+    return int(rows[np.argmax(_row_fsums(g, rows))] if len(rows) > 1 else rows[0])
+
+
+def _ranked_order(g: Graph, S: VertexSet, ranking: np.ndarray) -> VertexOrder:
+    """The sorted source, then the other ids in the order of ranking, a
+    permutation of every id."""
     src = source_ids(g, S)
-    rest = np.delete(np.arange(g.num_vertices), np.array(src, dtype=np.int64))
-    rest = rest[np.argsort(-score[rest], kind="stable")]
-    return VertexOrder(sequence=src + rest.tolist(), source_size=len(src))
+    rest = np.ones(g.num_vertices, dtype=bool)
+    rest[src] = False
+    return VertexOrder(sequence=src + ranking[rest[ranking]].tolist(), source_size=len(src))
 
 
 def degree_order(g: Graph, S: VertexSet) -> VertexOrder:
-    """Source first, then descending weighted degree, ties by id."""
-    return _ranked_order(g, S, g.weighted_degrees())
+    """Source first, then descending weighted degree, ties by id: the
+    correctly rounded weight sums of ``degree_ranking``."""
+    return _ranked_order(g, S, degree_ranking(g))
 
 
 def pagerank_order(g: Graph, S: VertexSet, pr) -> VertexOrder:
     """Source first, then descending walk score, ties by id."""
-    return _ranked_order(g, S, pr.p)
+    return _ranked_order(g, S, np.argsort(-pr.p, kind="stable"))

@@ -345,7 +345,7 @@ def test_verify_subcommand_clean(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "3", "--trials", "4")
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.startswith("prop ")]
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert all(": OK (" in ln for ln in lines)
 
 

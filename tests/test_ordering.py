@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 
 from nestseg.cli import resolve_source
 from nestseg.graph_core import Graph
-from nestseg.ordering import (VertexOrder, degree_order, hops_levels,
-                              ordered_bits, pagerank_order, sort_vertices)
-from nestseg.oracle import (densest_prefix, graph_from_edges, random_graph,
-                            reference_peel, reference_ranked_order)
+from nestseg import ordering
+from nestseg.ordering import (VertexOrder, degree_order, degree_ranking,
+                              hops_levels, ordered_bits, pagerank_order,
+                              sort_vertices)
+from nestseg.oracle import (DEGREE_WEIGHTS, densest_prefix, graph_from_edges,
+                            random_graph, random_tied_graph, reference_peel,
+                            reference_ranked_order, reference_weighted_degrees)
 from nestseg.segmentation import (DensityMonotonicityError, InfeasibleKError,
                                   discover)
 from nestseg.weighting import (ROW_SUM_WIDTH, PageRankVector, RowSumPlan,
@@ -300,7 +303,8 @@ def _rows_shuffled(g: Graph, rng: np.random.Generator) -> Graph:
 def _outputs(g: Graph, walks: list[PageRankVector], S: set[int], k: int) -> list:
     """Exact bytes of every vertex sum, peel and segmentation on g
     re-weighted from each of the walks' scores."""
-    out = [np.asarray(g.weighted_degrees(), dtype=np.float64).tobytes()]
+    out = [np.asarray(reference_weighted_degrees(g), dtype=np.float64).tobytes(),
+           degree_ranking(g).tolist()]
     for pr, scheme in itertools.product(walks, WeightingScheme):
         wg = apply_weighting(g, pr, scheme)
         order = sort_vertices(wg, S)
@@ -560,7 +564,7 @@ def test_baseline_orders_match_python_sort_reference():
         S = set(rng.sample(range(n), min(n, rng.randint(1, 3))))
         pr = personalized_pagerank(g, S)
         g = apply_weighting(g, pr, list(WeightingScheme)[seed % 4]) if seed % 5 == 0 else g
-        wdeg = g.weighted_degrees()
+        wdeg = reference_weighted_degrees(g)
         for src in (S, set()):
             assert (degree_order(g, src).sequence
                     == reference_ranked_order(g, src, wdeg)), seed
@@ -576,7 +580,8 @@ def test_degree_order_keeps_an_exact_tie_by_id(lesmis):
     # under --scheme norm, Combeferre and Feuilly have equal exact weight
     # sums.  Correctly rounded, both are the same float and the lower id
     # goes first; added left to right, the sums round apart and Feuilly
-    # would go first.  So weighted_degrees keeps math.fsum
+    # would go first.  Their error bounds overlap, so the degree ranking
+    # takes math.fsum of both rows, and the fallback decides the tie
     S = resolve_source(lesmis, None)
     wg = apply_weighting(lesmis, personalized_pagerank(lesmis, S), WeightingScheme.NORM)
     c, f = wg.label_index["Combeferre"], wg.label_index["Feuilly"]
@@ -590,11 +595,58 @@ def test_degree_order_keeps_an_exact_tie_by_id(lesmis):
             total += w
         running.append(total)
     assert exact[0] == exact[1] and running[0] < running[1]
-    wdeg = wg.weighted_degrees()
+    wdeg = reference_weighted_degrees(wg)
     assert wdeg[c] == wdeg[f] == float(exact[0])
     assert float(wdeg[c]).hex() == "0x1.8f232a56103efp-6"
     seq = degree_order(wg, S).sequence
     assert c < f and seq.index(c) + 1 == seq.index(f)
+
+
+def test_degree_ranking_is_the_fsum_ranking(monkeypatch):
+    # weights over the loader's range, rows repeated so that exact sums
+    # tie, every scheme, sources of 0 to 3 vertices: the degree order and
+    # the default source rank the oracle's fsum degrees.  Only the rows
+    # the error bound cannot order take math.fsum: some on float ties,
+    # none on integer weights, whose sums are exact
+    row_fsums, taken = ordering._row_fsums, []
+    monkeypatch.setattr(ordering, "_row_fsums",
+                        lambda g, rows: taken.append(len(rows)) or row_fsums(g, rows))
+    fallback = {"integer": 0, "float": 0, "source": 0}
+    for seed in range(120):
+        rng = random.Random(seed)
+        integer = seed % 4 == 0
+        g = random_tied_graph(rng, (0.0, 1.0, 3.0) if integer else DEGREE_WEIGHTS)
+        n = g.num_vertices
+        S = set(rng.sample(range(n), rng.randint(0, min(3, n))))
+        pr = personalized_pagerank(g, S or {0})
+        for scheme in WeightingScheme:
+            wg = apply_weighting(g, pr, scheme)
+            wdeg = reference_weighted_degrees(wg)
+            taken.clear()
+            assert degree_order(wg, S).sequence == reference_ranked_order(wg, S, wdeg), seed
+            ranked = sum(taken)
+            assert resolve_source(wg, None) == {reference_ranked_order(wg, set(), wdeg)[0]}, seed
+            fallback["source"] += sum(taken) - ranked
+            if scheme is WeightingScheme.ORIGINAL:
+                fallback["integer" if integer else "float"] += sum(taken)
+    assert fallback["integer"] == 0 and fallback["float"] > 0 and fallback["source"] > 0, fallback
+
+
+def test_degree_ranking_cuts_no_run_a_later_upper_bound_reaches():
+    # vertex 0 adds 8 and twelve halves of 8's ulp left to right, each
+    # addition rounding back to 8, so its sum sorts below those of
+    # vertices 14 (8 + 5 ulp) and 16 (8 + 1 ulp), though its exact sum,
+    # 8 + 6 ulp, is the largest.  16's upper bound lies below 14's lower
+    # bound, but 0's long row has an upper bound above both: no run may
+    # start between 14 and 16, or 0 would be ranked after 14
+    ulp = 2.0**-49
+    edges = ([(0, 1, 8.0)] + [(0, v, ulp / 2) for v in range(2, 14)]
+             + [(14, 15, 8 + 5 * ulp), (16, 17, 8 + ulp)])
+    g = graph_from_edges([str(v) for v in range(18)], edges)
+    assert g.vertex_sums()[[0, 14, 16]].tolist() == [8.0, 8 + 5 * ulp, 8 + ulp]
+    assert reference_weighted_degrees(g)[0] == 8 + 6 * ulp
+    assert degree_ranking(g)[:5].tolist() == [0, 14, 15, 16, 17]
+    assert resolve_source(g, None) == {0}
 
 
 @settings(max_examples=30, deadline=None)

@@ -28,21 +28,21 @@ class Graph:
     label of vertex i.  ``us``, ``vs``, ``ws`` list each edge once with
     u < v, by ascending u and, for equal u, in input order.  Row v of
     the CSR arrays lists v's neighbors ``indices[indptr[v]:indptr[v+1]]``
-    in ascending id, with the matching ``weights``; slot s holds edge
-    ``slot_edge[s]``.
+    in ascending id, with the matching ``weights``.  These six arrays and
+    the labels are the whole graph.
 
     The constructor is the one place that orders a row: row v lists its
     lower neighbors (the edges with ``vs == v``, by ascending ``us``),
     then its upper neighbors (the edges with ``us == v``, by ascending
-    ``vs``).  ``with_weights`` keeps the layout and gathers the new
-    weights through ``slot_edge``.  The walk adds each row as it lies,
-    in ascending column order.  No other output depends on the order
-    within a row: a vertex's weight sum is added in edge-list order
-    (``vertex_sums``), the degree ranking orders correctly rounded sums
-    (``ordering.degree_ranking``: ``vertex_sums`` with a proven error
-    bound, ``math.fsum`` where the bound cannot decide), the peel takes
-    each edge off a vertex's degree once, and segmentation and the DOT
-    edge list read the edge list.
+    ``vs``).  ``with_weights`` keeps the layout and computes each new
+    weight from the scores of the edge's two ends.  The walk adds each
+    row as it lies, in ascending column order.  No other output depends
+    on the order within a row: a vertex's weight sum is added in
+    edge-list order (``vertex_sums``), the degree ranking orders
+    correctly rounded sums (``ordering.degree_ranking``: ``vertex_sums``
+    with a proven error bound, ``math.fsum`` where the bound cannot
+    decide), the peel takes each edge off a vertex's degree once, and
+    segmentation and the DOT edge list read the edge list.
 
     Weights are finite, nonnegative and at most MAX_WEIGHT (2**400);
     self-loops, unknown ids and duplicate edges (either orientation) are
@@ -50,7 +50,7 @@ class Graph:
     """
 
     __slots__ = ("labels", "label_index", "indptr", "indices", "weights",
-                 "us", "vs", "ws", "slot_edge")
+                 "us", "vs", "ws")
 
     def __init__(self, labels: list[str], heads, tails, weights):
         """Edge i joins ids heads[i] and tails[i] with weight weights[i]."""
@@ -59,8 +59,10 @@ class Graph:
         n = len(self.labels)
         if len(self.label_index) != n:
             raise ValueError("vertex labels must be unique")
-        a = np.asarray(heads, dtype=np.int64)
-        b = np.asarray(tails, dtype=np.int64)
+        a, b = np.asarray(heads), np.asarray(tails)
+        if a.size + b.size and {a.dtype.kind, b.dtype.kind} - set("iu"):
+            raise GraphFormatError(f"vertex ids must be integers, got {a.dtype} and {b.dtype}")
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
         w = np.asarray(weights, dtype=np.float64)
         lo, hi = _check_edges(self.labels, a, b, w)
         ups = np.bincount(lo, minlength=n)
@@ -80,18 +82,19 @@ class Graph:
         np.cumsum(lows + ups, out=self.indptr[1:])
         # the slots of the rows' lower parts
         low = np.repeat(np.tile([True, False], n), np.column_stack((lows, ups)).reshape(-1))
-        # each array goes as soon as it is placed, as they set the build's peak
-        self.slot_edge = np.empty(len(low), dtype=np.int64)
-        self.slot_edge[low] = by_hi
+        # each slot's edge, only to place the weights; each array goes as
+        # soon as it is placed, as they set the build's peak
+        edge_at = np.empty(len(low), dtype=np.int64)
+        edge_at[low] = by_hi
         del by_hi
         self.indices = np.empty(len(low), dtype=np.int64)
         self.indices[low] = lower
         del lower
         np.logical_not(low, out=low)
-        self.slot_edge[low] = by_lo
+        edge_at[low] = by_lo
         self.indices[low] = self.vs.take(by_lo)
         del by_lo, low
-        self.weights = self.ws.take(self.slot_edge)
+        self.weights = self.ws.take(edge_at)
         for name in self.__slots__[2:]:  # the arrays
             getattr(self, name).flags.writeable = False
 
@@ -117,22 +120,34 @@ class Graph:
         """Return the (u, v, w) edge arrays, u < v, by ascending u."""
         return self.us, self.vs, self.ws
 
-    def with_weights(self, weights) -> "Graph":
-        """``Graph(self.labels, self.us, self.vs, weights)``: the same
-        arrays, or the same error, without the checks the edges passed
-        already.  The rows keep their layout, so only ``ws`` and
-        ``weights`` are new: ``weights`` gathers ``ws`` through
-        ``slot_edge``, and every other attribute is shared."""
-        w = np.array(weights, dtype=np.float64)
-        if len(w) != len(self.us):
-            raise ValueError("edge id and weight arrays differ in length")
-        _raise_first_failure(_weight_checks(w))
+    def with_weights(self, q, op) -> "Graph":
+        """The graph whose edge (u, v) weighs ``op(q[u], q[v])``:
+        ``Graph(self.labels, self.us, self.vs, op(q[us], q[vs]))``, the
+        same arrays, or the same error, without the checks the edges
+        passed already.  q holds one float per vertex, its zeros read as
+        +0.0, and op is a commutative numpy ufunc (np.add, np.minimum).
+
+        The rows keep their layout, so only ``ws`` and ``weights`` are
+        new, and every other array is shared.  The slot of row x that
+        holds neighbor y weighs ``op(q[x], q[y])``; as op commutes, both
+        slots of an edge get the bits of its ``ws`` entry without a map
+        from slot to edge.  ``weights`` is filled in place, a few slices
+        at a time, so no slot-sized temporary sits beside it."""
+        # -0.0 + 0.0 is +0.0, and np.minimum commutes on the zeros of one sign
+        q = np.asarray(q, dtype=np.float64) + 0.0
+        if len(q) != self.num_vertices:
+            raise ValueError("score vector does not cover all vertices")
+        # indexes, not take: take copies a read-only index array first
+        ws = op(q[self.us], q[self.vs])
+        _raise_first_failure(_weight_checks(ws))
         g = Graph.__new__(Graph)
         for name in self.__slots__:
             setattr(g, name, getattr(self, name))
-        # an index, not take: take copies a read-only index array first
-        g.ws, g.weights = w, w[self.slot_edge]
-        w.flags.writeable = g.weights.flags.writeable = False
+        weights = np.repeat(q, np.diff(self.indptr))
+        for part, cols in zip(np.array_split(weights, 8), np.array_split(self.indices, 8)):
+            op(part, q[cols], out=part)
+        g.ws, g.weights = ws, weights
+        ws.flags.writeable = weights.flags.writeable = False
         return g
 
 

@@ -191,7 +191,17 @@ def _degree_bounds(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     same array, when s is exact: integer weights whose float total is
     below 2**53 have an exact total below 2**53 too (rounding a
     nonnegative sum is monotone), so every partial sum is an integer
-    below 2**53, exact in any order.
+    below 2**53, exact in any order.  So are dyadic weights.  Let t be
+    their float total, t < 2**e with e the exponent ``math.frexp``
+    gives, and k = 53 - e.  When k >= 0 and every weight times 2**k is
+    an integer, those integers have the float total t * 2**k < 2**53:
+    scaling up by 2**k is exact (no product exceeds t * 2**k) and
+    commutes with each rounded addition.  So, as above, their partial
+    sums are integers below 2**53, and each partial sum of the weights
+    is such an integer times 2**-k and a multiple of 2**-1074, as every
+    weight is: a float, so every addition was exact.  The scale only
+    goes up, as scaling down could round a weight to an integer it is
+    not.
 
     Otherwise, with u = 2**-53, a row of m >= 1 weights gets
     e = fl(s * m * 2**-52), lo = fl(s - e) and hi = fl(s + e); the row
@@ -222,7 +232,8 @@ def _degree_bounds(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     s = g.vertex_sums()
     w = g.ws
-    if (w == np.floor(w)).all() and w.sum() < 2.0**53:
+    k = 53 - math.frexp(w.sum())[1]
+    if k >= 0 and (np.ldexp(w, k) % 1 == 0).all():
         return s, s, s
     e = s * (np.diff(g.indptr) * 2.0**-52)
     return s, s - e, s + e

@@ -34,9 +34,12 @@ class PageRankVector:
 class WeightingScheme(enum.Enum):
     """How to turn walk scores into edge weights.
 
-    norm:     p(v)/deg(v) + p(u)/deg(u), deg = unweighted edge count
-    sum:      p(v) + p(u)
-    min:      min(p(v), p(u))
+    Each scheme but ``original`` weighs edge (u, v) as op(q(u), q(v)), op
+    commutative (see ``apply_weighting``):
+
+    norm:     p(u)/deg(u) + p(v)/deg(v), deg = unweighted edge count
+    sum:      p(u) + p(v)
+    min:      min(p(u), p(v))
     original: keep the input weights untouched
     """
     NORM = "norm"
@@ -183,22 +186,16 @@ def apply_weighting(g: Graph, pr: PageRankVector | None,
     """Re-weight every edge of g from the walk scores; edge set unchanged.
 
     ``ORIGINAL`` returns g itself and needs no scores (pr may be None).
-    Any other scheme returns ``g.with_weights(ws)``: the rows keep g's
-    layout, which every graph takes from its u < v edge list, and only
-    the weights are new.
+    Any other scheme is one rule, ``g.with_weights(q, op)``: edge (u, v)
+    weighs op(q[u], q[v]), with op = np.minimum under ``MIN`` and np.add
+    otherwise, on q = p / deg under ``NORM`` (0 where deg = 0) and q = p
+    otherwise.  The rows keep g's layout, which every graph takes from
+    its u < v edge list, and only the weights are new.
     """
     if scheme is WeightingScheme.ORIGINAL:
         return g
-    p = pr.p
-    if len(p) != g.num_vertices:
-        raise ValueError("score vector does not cover all vertices")
-    us, vs, _ = g.edge_arrays()
-    pu, pv = p[us], p[vs]
+    q = pr.p
     if scheme is WeightingScheme.NORM:
-        deg = np.diff(g.indptr).astype(np.float64)
-        ws = pu / deg[us] + pv / deg[vs]
-    elif scheme is WeightingScheme.SUM:
-        ws = pu + pv
-    else:  # WeightingScheme.MIN
-        ws = np.minimum(pu, pv)
-    return g.with_weights(ws)
+        deg = np.diff(g.indptr)
+        q = np.divide(q, deg, out=np.zeros(len(q)), where=deg > 0)
+    return g.with_weights(q, np.minimum if scheme is WeightingScheme.MIN else np.add)

@@ -76,15 +76,30 @@ def test_parse_error_reports_one_based_line_number():
     assert "line 3" in str(exc.value)
 
 
+def _slot_edges(g: Graph) -> np.ndarray:
+    """The edge of each row slot, looked up by the slot's vertex pair:
+    the e with {us[e], vs[e]} = {its row, its neighbor}."""
+    n = g.num_vertices
+    rows = np.repeat(np.arange(n), np.diff(g.indptr))
+    codes = g.us * n + g.vs
+    by_code = np.argsort(codes)
+    pairs = np.minimum(rows, g.indices) * n + np.maximum(rows, g.indices)
+    at = np.searchsorted(codes, pairs, sorter=by_code)
+    found = by_code[np.minimum(at, len(codes) - 1)]  # a pair past every code holds none
+    assert np.array_equal(codes[found], pairs), "a slot holds no edge"
+    return found
+
+
 def test_rows_keep_edge_order():
     # the edge list keeps input order within each lower end; each row
-    # lists its neighbors in ascending id, each slot naming its edge
+    # lists its neighbors in ascending id, each slot with its edge's weight
     g = graph_from_edges(list("abcd"), [(2, 0, 1.0), (0, 1, 2.0), (3, 0, 3.0),
                                         (1, 2, 4.0)])
     rows = [g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() for v in range(4)]
     assert rows == [[1, 2, 3], [0, 2], [0, 1], [0]]
     assert g.weights.tolist() == [2.0, 1.0, 3.0, 2.0, 4.0, 1.0, 4.0, 3.0]
-    assert g.slot_edge.tolist() == [1, 0, 2, 1, 3, 0, 3, 2]
+    assert _slot_edges(g).tolist() == [1, 0, 2, 1, 3, 0, 3, 2]
+    assert g.ws[_slot_edges(g)].tolist() == g.weights.tolist()
     assert edge_list(g) == [(0, 2, 1.0), (0, 1, 2.0), (0, 3, 3.0), (1, 2, 4.0)]
 
 
@@ -108,18 +123,18 @@ def test_rows_keep_edge_order_seeded():
             lo, hi = g.indptr[v], g.indptr[v + 1]
             assert list(zip(g.indices[lo:hi].tolist(), g.weights[lo:hi].tolist())) \
                 == lower + upper
-            assert (g.ws[g.slot_edge[lo:hi]] == g.weights[lo:hi]).all()
+        assert g.ws[_slot_edges(g)].tobytes() == g.weights.tobytes()
 
 
 def _assert_rows_ascend(g: Graph):
-    """Every row lists its neighbors in strictly ascending id; slot s
-    holds the other end of edge slot_edge[s] and that edge's weight."""
+    """Every row lists its neighbors in strictly ascending id; each edge
+    fills one slot in each of its two rows, with the edge's weight."""
     rows = np.repeat(np.arange(g.num_vertices), np.diff(g.indptr))
-    assert len(g.indices) == len(g.slot_edge) == 2 * g.total_edge_count
+    assert len(g.indices) == len(g.weights) == 2 * g.total_edge_count
     assert (np.diff(rows * g.num_vertices + g.indices) > 0).all()
-    us, vs = g.us[g.slot_edge], g.vs[g.slot_edge]
-    assert (((us == rows) & (vs == g.indices)) | ((vs == rows) & (us == g.indices))).all()
-    assert np.array_equal(g.ws[g.slot_edge], g.weights)
+    edge = _slot_edges(g)
+    assert (np.bincount(edge, minlength=g.total_edge_count) == 2).all()
+    assert g.ws[edge].tobytes() == g.weights.tobytes()
 
 
 def test_every_graph_lays_its_rows_out_in_ascending_id(tmp_path):
@@ -143,11 +158,12 @@ def test_every_graph_lays_its_rows_out_in_ascending_id(tmp_path):
         path_file.write_text("\n".join(text) + "\n")
         g = Graph(labels, heads, tails, w)
         descending += bool((np.diff(g.us * n + g.vs) < 0).any())
-        graphs = [g, g.with_weights(npr.random(len(pairs))),
+        graphs = [g, g.with_weights(npr.random(n), np.add),
+                  g.with_weights(npr.random(n), np.minimum),
                   graph_from_edges(labels, zip(heads, tails, w)),
                   load_edge_list(text), load_edge_list_path(str(path_file)),
                   random_graph(rng, n, 0.5, weighted=True, connected=True)]
-        assert graph_arrays(graphs[3]) == graph_arrays(graphs[4]) == graph_arrays(g)
+        assert graph_arrays(graphs[4]) == graph_arrays(graphs[5]) == graph_arrays(g)
         for h in graphs:
             _assert_rows_ascend(h)
     assert descending > 30, descending
@@ -242,7 +258,7 @@ def test_weighted_degrees_fall_back_to_fsum():
 # ------------------------------------------ the parser vs the line loop
 
 def _loaded(load, arg):
-    """Labels and the seven arrays of load(arg), or its error."""
+    """Labels and the six arrays of load(arg), or its error."""
     try:
         g = load(arg)
     except (GraphFormatError, UnicodeDecodeError) as exc:
@@ -520,40 +536,81 @@ def test_with_weights_matches_the_constructor(karate, lesmis):
     graphs = [_shuffled_graph(rng) for _ in range(60)]
     graphs += [karate, lesmis, Graph(["a", "b"], [], [], []), Graph([], [], [], [])]
     for g in graphs:
-        m = g.total_edge_count
-        for ws in (rng.random(m) * rng.integers(0, 2, m), np.zeros(m), g.ws):
-            got = g.with_weights(ws)
-            assert graph_arrays(got) == graph_arrays(Graph(g.labels, g.us, g.vs, ws))
-            assert got.label_index == g.label_index
-            # the structure is shared, not copied
-            assert all(getattr(got, name) is getattr(g, name)
-                       for name in ("labels", "label_index", "indptr", "indices",
-                                    "us", "vs", "slot_edge"))
-            # and again from a graph that with_weights built
-            again = got.with_weights(ws[::-1])
-            assert graph_arrays(again) == graph_arrays(
-                Graph(g.labels, g.us, g.vs, ws[::-1]))
-            assert all(not a.flags.writeable
-                       for a in (got.indices, got.weights, got.ws, got.slot_edge))
+        n = g.num_vertices
+        for op in (np.add, np.minimum):
+            for q in (rng.random(n) * rng.integers(0, 2, n), np.zeros(n), g.vertex_sums()):
+                got = g.with_weights(q, op)
+                assert graph_arrays(got) == graph_arrays(
+                    Graph(g.labels, g.us, g.vs, op(q[g.us], q[g.vs])))
+                assert got.label_index == g.label_index
+                # the structure is shared, not copied
+                assert all(getattr(got, name) is getattr(g, name)
+                           for name in ("labels", "label_index", "indptr", "indices",
+                                        "us", "vs"))
+                # and again from a graph that with_weights built
+                again = got.with_weights(q[::-1], op)
+                assert graph_arrays(again) == graph_arrays(
+                    Graph(g.labels, g.us, g.vs, op(q[::-1][g.us], q[::-1][g.vs])))
+                assert all(not a.flags.writeable
+                           for a in (got.indptr, got.indices, got.weights, got.us,
+                                     got.vs, got.ws))
+
+
+def test_with_weights_reads_either_zero_as_plus_zero():
+    # np.minimum(-0.0, 0.0) is 0.0 but np.minimum(0.0, -0.0) is -0.0: both
+    # slots of an edge still get the bits of its weight
+    g = Graph(list("abc"), [0, 1], [1, 2], [1.0, 1.0])
+    for op in (np.add, np.minimum):
+        got = g.with_weights([-0.0, 0.0, -0.0], op)
+        assert got.ws.tobytes() == np.zeros(2).tobytes()
+        assert got.weights.tobytes() == np.zeros(4).tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0,
                                  math.nextafter(2.0 ** 400, math.inf)])
 def test_with_weights_rejects_what_the_constructor_rejects(karate, bad):
-    ws = karate.ws.copy()
-    assert karate.with_weights(ws).ws.tobytes() == ws.tobytes()
-    ws[[7, 30]] = bad, -2.0  # the first bad edge is reported
-    ws[[40, 50]] = math.nan, math.inf
-    errors = []
-    for build in (karate.with_weights,
-                  lambda w: Graph(karate.labels, karate.us, karate.vs, w)):
-        with pytest.raises(GraphFormatError) as exc:
-            build(ws)
-        errors.append((str(exc.value), exc.value.edge))
-    assert errors[0] == errors[1]
-    assert errors[0][1] == 7
-    with pytest.raises(ValueError, match="differ in length"):
-        karate.with_weights(ws[1:])
+    # bad on both ends of edge 40, so that np.minimum meets it too, and a
+    # negative and non-finite scores on vertices whose edges all come
+    # later: the least edge that fails is reported, with the message of
+    # the first check it fails
+    m = karate.total_edge_count
+    first = np.full(karate.num_vertices, m)
+    for ends in (karate.us, karate.vs):
+        np.minimum.at(first, ends, np.arange(m))
+    reason = ("non-finite weight" if not math.isfinite(bad)
+              else "negative weight" if bad < 0 else "weight too large")
+    for op in (np.add, np.minimum):
+        q = karate.vertex_sums() / 64
+        assert karate.with_weights(q, op).ws.tobytes() == op(q[karate.us], q[karate.vs]).tobytes()
+        q[[karate.us[40], karate.vs[40]]] = bad
+        q[np.flatnonzero(first > 40)[:3]] = -2.0, math.nan, math.inf
+        ws = op(q[karate.us], q[karate.vs])
+        errors = []
+        for build in (lambda: karate.with_weights(q, op),
+                      lambda: Graph(karate.labels, karate.us, karate.vs, ws)):
+            with pytest.raises(GraphFormatError) as exc:
+                build()
+            errors.append((str(exc.value), exc.value.edge))
+        assert errors[0] == errors[1]
+        fails = ~np.isfinite(ws) | (ws < 0) | (ws > 2.0 ** 400)
+        assert errors[0][1] == np.flatnonzero(fails)[0] <= 40
+        assert errors[0][0].startswith(f"edge {errors[0][1]}: {reason}")
+        for short in (q[1:], np.append(q, 0.0)):
+            with pytest.raises(ValueError, match="does not cover all vertices"):
+                karate.with_weights(short, op)
+
+
+@pytest.mark.parametrize("ids", [[0.9, 0.0], [0.0, 2.0], ["0", "2"], [False, True]])
+def test_graph_rejects_vertex_ids_that_are_not_integers(ids):
+    # a float id once truncated to an integer, and string and bool ids passed
+    for heads, tails in ((ids[:1], ids[1:]), (ids[:1], [2]), ([2], ids[:1])):
+        with pytest.raises(GraphFormatError, match="vertex ids must be integers"):
+            Graph(list("abc"), heads, tails, [1.0])
+    # no edge: the ids' dtype does not matter
+    for empty in ([], np.zeros(0), np.zeros(0, dtype=bool)):
+        assert Graph(list("ab"), empty, empty, []).total_edge_count == 0
+    assert edge_list(Graph(list("abc"), np.array([0], np.uint8), np.array([2], np.int32),
+                           [1.0])) == [(0, 2, 1.0)]
 
 
 def test_graph_builds_keep_their_temporaries_small():
@@ -564,7 +621,7 @@ def test_graph_builds_keep_their_temporaries_small():
     codes = np.unique(np.minimum(lo, hi) * n + np.maximum(lo, hi))
     codes = rng.permutation(codes[codes // n != codes % n])[:m]
     labels, heads, tails = [str(v) for v in range(n)], codes // n, codes % n
-    weights, new_weights = rng.random(m), rng.random(m)
+    weights, scores = rng.random(m), rng.random(n)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -573,14 +630,15 @@ def test_graph_builds_keep_their_temporaries_small():
         built = tracemalloc.get_traced_memory()[1] - before
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        got = g.with_weights(new_weights)
+        got = g.with_weights(scores, np.add)
         reweighted = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert built < 1.6 * sum(a.nbytes for a in (g.indptr, g.indices, g.weights,
                                                 g.us, g.vs, g.ws))
     # with_weights makes only the weights, and shares the structure; the
-    # weight checks' masks take an eighth of ws
+    # weight checks' masks take an eighth of ws, and each of the eight
+    # slices that fill the weights a sixteenth of them
     assert reweighted < 1.25 * sum(a.nbytes for a in (got.weights, got.ws))
 
 

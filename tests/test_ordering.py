@@ -289,14 +289,14 @@ def test_peel_seeds_of_long_rows_add_left_to_right():
 
 
 def _rows_shuffled(g: Graph, rng: np.random.Generator) -> Graph:
-    """g with each row's entries in a random order: indices, weights and
-    slot_edge permuted together, every other array shared."""
+    """g with each row's entries in a random order: indices and weights
+    permuted together, every other array shared."""
     h = Graph.__new__(Graph)
     for name in Graph.__slots__:
         setattr(h, name, getattr(g, name))
     ptr = g.indptr.tolist()
     perm = np.concatenate([a + rng.permutation(b - a) for a, b in zip(ptr, ptr[1:])])
-    h.indices, h.weights, h.slot_edge = g.indices[perm], g.weights[perm], g.slot_edge[perm]
+    h.indices, h.weights = g.indices[perm], g.weights[perm]
     return h
 
 
@@ -630,6 +630,30 @@ def test_degree_ranking_is_the_fsum_ranking(monkeypatch):
             if scheme is WeightingScheme.ORIGINAL:
                 fallback["integer" if integer else "float"] += sum(taken)
     assert fallback["integer"] == 0 and fallback["float"] > 0 and fallback["source"] > 0, fallback
+
+
+def test_dyadic_weights_rank_without_fsum(monkeypatch):
+    # weights that are multiples of 2**-k add exactly, as integers do, so
+    # no row of a G(3000, 12000) takes math.fsum, subnormal weights
+    # included; thirds of the same weights do not, and their ties send
+    # rows to fsum.  Either way the ranking is the oracle's
+    row_fsums, taken = ordering._row_fsums, []
+    monkeypatch.setattr(ordering, "_row_fsums",
+                        lambda g, rows: taken.append(len(rows)) or row_fsums(g, rows))
+    rng = np.random.default_rng(23)
+    n, m = 3000, 12000
+    lo, hi = np.sort(rng.integers(0, n, (2, 2 * m)), axis=0)
+    codes = np.unique(lo * n + hi)
+    codes = rng.permutation(codes[codes // n != codes % n])[:m]
+    weights = rng.integers(1, 100, m).astype(np.float64)
+    for scale, fsum_rows in ((0.5, False), (0.25, False), (2.0 ** -40, False),
+                             (2.0 ** -1060, False), (1 / 3, True)):
+        g = Graph([str(v) for v in range(n)], codes // n, codes % n, weights * scale)
+        wdeg = reference_weighted_degrees(g)
+        taken.clear()
+        assert degree_order(g, set()).sequence == reference_ranked_order(g, set(), wdeg)
+        assert resolve_source(g, None) == {reference_ranked_order(g, set(), wdeg)[0]}
+        assert (sum(taken) > 0) == fsum_rows, (scale, taken)
 
 
 def test_degree_ranking_cuts_no_run_a_later_upper_bound_reaches():

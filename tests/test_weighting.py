@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from nestseg.graph_core import Graph
 from nestseg.oracle import graph_from_edges, parse_scheme, reference_pagerank
-from nestseg.weighting import (ConvergenceError, WeightingScheme, _power_iteration,
-                               apply_weighting, personalized_pagerank)
+from nestseg.weighting import (ConvergenceError, PageRankVector, WeightingScheme,
+                               _power_iteration, apply_weighting, personalized_pagerank)
 
 from conftest import (dyadic_graph, edge_list, graph_arrays, long_row_graphs,
                       neighbor_weights, path_graph, star_graph)
@@ -197,6 +198,28 @@ def test_reweighted_graph_is_the_constructors(karate, lesmis):
         for scheme in WeightingScheme:
             wg = apply_weighting(g, pr, scheme)
             assert graph_arrays(wg) == graph_arrays(Graph(g.labels, g.us, g.vs, wg.ws))
+
+
+def test_norm_scores_of_an_isolated_vertex_are_zero_without_a_warning():
+    # vertex 2 has no edge, between vertices that have: its score is never
+    # read, and dividing it by its degree 0 must not warn
+    g = graph_from_edges(list("abcde"), [(0, 1, 1.0), (3, 1, 2.0), (3, 4, 1.0)])
+    pr = personalized_pagerank(g, {1})
+    p = pr.p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wg = apply_weighting(g, pr, WeightingScheme.NORM)
+    assert wg.ws.tolist() == [p[0] / 1 + p[1] / 2, p[1] / 2 + p[3] / 2, p[3] / 2 + p[4] / 1]
+    assert graph_arrays(wg) == graph_arrays(Graph(g.labels, g.us, g.vs, wg.ws))
+
+
+def test_every_scheme_rejects_a_score_vector_of_another_length():
+    g = star_graph()
+    for p in (np.full(3, 0.25), np.full(5, 0.2), np.ones(1)):
+        pr = PageRankVector(p=p, restart=0.1, residual=0.0, iterations=1)
+        for scheme in (WeightingScheme.NORM, WeightingScheme.SUM, WeightingScheme.MIN):
+            with pytest.raises(ValueError):
+                apply_weighting(g, pr, scheme)
 
 
 def test_reweighting_keeps_structure():

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graph_core import Graph, GraphFormatError, load_edge_list_path
-from .ordering import (VertexOrder, degree_order, heaviest_vertex, hops_levels,
+from .ordering import (VertexOrder, degree_order, degree_ranking, hops_levels,
                        pagerank_order, sort_vertices)
 from .segmentation import (CommunitySequence, InfeasibleKError, Segmenter,
                            discover, group_arrays, grow_tables, score_sequence)
@@ -35,7 +35,7 @@ COMPARE_SCHEMES = (WeightingScheme.NORM, WeightingScheme.SUM, WeightingScheme.MI
 class RunConfig:
     """Everything one end-to-end run needs; the CLI's defaults are these."""
     input_path: str
-    source: list[str] | None = None  # None = highest-degree vertex
+    source: list[str] | None = None  # None = the head of degree_ranking
     k: int = 2
     scheme: WeightingScheme = WeightingScheme.SUM
     order_kind: str = "peel"
@@ -46,13 +46,13 @@ class RunConfig:
 
 def resolve_source(g: Graph, source: list[str] | None) -> set[int]:
     """Map configured source labels to ids; None picks the vertex of
-    largest correctly rounded weight sum, the lowest id among ties
-    (``ordering.heaviest_vertex``, the head of the degree ranking), and
-    an empty list is an error whatever the scheme and order."""
+    largest correctly rounded weight sum, the lowest id among ties (the
+    head of ``ordering.degree_ranking``, which ``--order degree`` follows),
+    and an empty list is an error whatever the scheme and order."""
     if g.num_vertices == 0:
         raise ValueError("graph has no vertices")
     if source is None:
-        return {heaviest_vertex(g)}
+        return {int(degree_ranking(g)[0])}
     if not source:
         raise ValueError("source set must not be empty")
     ids = set()
@@ -332,7 +332,7 @@ def _add_common(p: argparse.ArgumentParser, with_k: bool = True):
     p.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
                    help="edge list file")
     p.add_argument("--source", type=_labels, default=RunConfig.source,
-                   help="comma-separated source labels (default: the heaviest vertex)")
+                   help="comma-separated source labels (default: the head of --order degree)")
     if with_k:
         p.add_argument("-k", type=int, default=RunConfig.k, help="number of communities")
         p.add_argument("--scheme", default=RunConfig.scheme.value,

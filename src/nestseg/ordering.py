@@ -233,7 +233,8 @@ def _degree_bounds(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = g.vertex_sums()
     w = g.ws
     k = 53 - math.frexp(w.sum())[1]
-    if k >= 0 and (np.ldexp(w, k) % 1 == 0).all():
+    x = np.ldexp(w, k)  # x == floor(x) is x % 1 == 0 at a tenth of the cost
+    if k >= 0 and (x == np.floor(x)).all():
         return s, s, s
     e = s * (np.diff(g.indptr) * 2.0**-52)
     return s, s - e, s + e
@@ -275,19 +276,6 @@ def degree_ranking(g: Graph) -> np.ndarray:
     key = np.zeros(len(order))
     key[shared] = -_row_fsums(g, order[shared])
     return order[np.lexsort((order, key, run))]
-
-
-def heaviest_vertex(g: Graph) -> int:
-    """``degree_ranking(g)[0]`` without a sort: the vertex of largest
-    correctly rounded weight sum, the lowest id among ties.  Only the
-    rows whose upper bound reaches the largest lower bound can hold the
-    maximum, and only they take ``math.fsum``, when there are two or
-    more of them.  The graph must have a vertex."""
-    s, lo, hi = _degree_bounds(g)
-    if lo is hi:
-        return int(np.argmax(s))  # the first maximum, the lowest id among ties
-    rows = np.flatnonzero(hi >= lo.max())
-    return int(rows[np.argmax(_row_fsums(g, rows))] if len(rows) > 1 else rows[0])
 
 
 def _ranked_order(g: Graph, S: VertexSet, ranking: np.ndarray) -> VertexOrder:

@@ -636,7 +636,14 @@ def test_dyadic_weights_rank_without_fsum(monkeypatch):
     # weights that are multiples of 2**-k add exactly, as integers do, so
     # no row of a G(3000, 12000) takes math.fsum, subnormal weights
     # included; thirds of the same weights do not, and their ties send
-    # rows to fsum.  Either way the ranking is the oracle's
+    # rows to fsum.  Small graphs add the exactness test's edge cases:
+    # -0.0, the subnormals 5e-324 and 3 * 2**-1074 and 2**400 beside small
+    # integers; the same without 2**400, and without all three; -0.0 and
+    # 5e-324 beside three 2**400, where k < 0 (scaling down by 2**349
+    # would round 5e-324 to the integer 0); and a single weight of 1/3,
+    # which 2**54 scales to an integer.  Either way the ranking is the
+    # oracle's, and the exact path is taken just when k >= 0 and every
+    # weight times 2**k is an integer
     row_fsums, taken = ordering._row_fsums, []
     monkeypatch.setattr(ordering, "_row_fsums",
                         lambda g, rows: taken.append(len(rows)) or row_fsums(g, rows))
@@ -646,14 +653,27 @@ def test_dyadic_weights_rank_without_fsum(monkeypatch):
     codes = np.unique(lo * n + hi)
     codes = rng.permutation(codes[codes // n != codes % n])[:m]
     weights = rng.integers(1, 100, m).astype(np.float64)
-    for scale, fsum_rows in ((0.5, False), (0.25, False), (2.0 ** -40, False),
-                             (2.0 ** -1060, False), (1 / 3, True)):
-        g = Graph([str(v) for v in range(n)], codes // n, codes % n, weights * scale)
+    cases = [(Graph([str(v) for v in range(n)], codes // n, codes % n, weights * scale),
+              fsum_rows)
+             for scale, fsum_rows in ((0.5, False), (0.25, False), (2.0 ** -40, False),
+                                      (2.0 ** -1060, False), (1 / 3, True))]
+    odd = [-0.0, 5e-324, 3 * 2.0 ** -1074, 2.0 ** 400, 1.0, 2.0, 3.0, 2.0, -0.0, 1.0]
+    for ws in (odd, odd[:3] + odd[4:], odd[:1] + odd[4:], odd[:2] + odd[3:4] * 3):
+        pairs = itertools.combinations(range(5), 2)
+        cases.append((graph_from_edges([str(v) for v in range(6)],
+                                       [(u, v, w) for (u, v), w in zip(pairs, ws)]), None))
+    cases.append((graph_from_edges(["a", "b", "c"], [(1, 2, 1 / 3)]), False))
+    for g, fsum_rows in cases:
+        k = 53 - math.frexp(g.ws.sum())[1]
+        exact = k >= 0 and all((Fraction(w) * 2**k).denominator == 1 for w in g.ws.tolist())
+        _, low, high = ordering._degree_bounds(g)
+        assert (low is high) == exact, g.ws
         wdeg = reference_weighted_degrees(g)
         taken.clear()
         assert degree_order(g, set()).sequence == reference_ranked_order(g, set(), wdeg)
         assert resolve_source(g, None) == {reference_ranked_order(g, set(), wdeg)[0]}
-        assert (sum(taken) > 0) == fsum_rows, (scale, taken)
+        if fsum_rows is not None:
+            assert (sum(taken) > 0) == fsum_rows, (g.ws, taken)
 
 
 def test_degree_ranking_cuts_no_run_a_later_upper_bound_reaches():
